@@ -16,17 +16,23 @@
 // Cluster runs need the fleet started with a -rate matching the
 // workload's sample rate (128 for the synthetic matrix, 256 for
 // chbmit-replay) and, for scenarios that set quality thresholds,
-// shardd -quality — the engine mirrors the prefilter client-side to
+// shardd -quality — the engine mirrors the quality gate client-side to
 // map ground truth into admitted stream time, so the two must agree.
 // Rows are exactly reproducible on a fresh fleet; scenarios after the
 // first in one invocation run under prefixed patient IDs so their
 // window accounting starts on cold sessions.
 //
+// A cluster run survives a shard that dies or is partitioned mid-replay:
+// the dead shard's patients fail over to the survivors, and the row's
+// model_versions (the run's observed versions, max-merged with the
+// router's announce-fed table) shows every confirming patient trained.
+// The run exits nonzero if any retrain failed or any confirmation was
+// lost.
+//
 // Scenarios with a prefilter section run the stage-1 amplitude gate in
-// this process — the "on device" half of the edge/cloud split — and
-// need every shard speaking wire v5; rows then carry uplink_bytes,
-// suppressed_windows and audit counters accounted in exact
-// wire-protocol bytes.
+// this process — the "on device" half of the edge/cloud split; rows
+// then carry uplink_bytes, suppressed_windows and audit counters
+// accounted in exact wire-protocol bytes.
 package main
 
 import (
@@ -190,7 +196,7 @@ func runOne(spec scenario.Spec, addrs []string, idx int, speed float64) (*scenar
 		if *w.Spec.Quality == signal.DefaultQuality() {
 			log.Printf("%s: expects the fleet started with -quality", w.Spec.Name)
 		} else {
-			log.Printf("%s: custom quality thresholds cannot be installed remotely; the fleet's prefilter must match or rejection counts will not", w.Spec.Name)
+			log.Printf("%s: custom quality thresholds cannot be installed remotely; the fleet's quality gate must match or rejection counts will not", w.Spec.Name)
 		}
 	}
 	log.Printf("%s: expects the fleet started with -rate %g", w.Spec.Name, w.SampleRate)
@@ -228,17 +234,31 @@ func runOne(spec scenario.Spec, addrs []string, idx int, speed float64) (*scenar
 	if err := r.WaitReady(10 * time.Second); err != nil {
 		return nil, err
 	}
-	if w.Spec.Prefilter != nil && !r.SupportsPrefilter() {
-		// A pre-v5 shard would silently drop the digest/audit frames and
-		// the engine's exact-drain accounting would hang; refuse up front.
-		return nil, fmt.Errorf("scenario declares a prefilter but the fleet does not speak wire v5")
-	}
+	return runRouted(w, c, r)
+}
+
+// runRouted replays the workload through the router, feeding the
+// router's merged event stream into the collector, and completes the
+// row's model_versions from the router's own version table.
+func runRouted(w *scenario.Workload, c *scenario.Collector, r *cluster.Router) (*scenario.Result, error) {
 	go func() {
 		for ev := range r.Events() {
 			c.Observe(ev)
 		}
 	}()
-	return w.Run(routerBackend{r}, c)
+	res, err := w.Run(routerBackend{r}, c)
+	if err != nil {
+		return nil, err
+	}
+	// Events cross the wire at most once; the router's announce-fed
+	// table also holds the versions replicas installed on failover.
+	routed := r.ModelVersions()
+	for _, ps := range w.Streams {
+		if v := routed[ps.ID]; v > res.ModelVersions[ps.ID] {
+			res.ModelVersions[ps.ID] = v
+		}
+	}
+	return res, nil
 }
 
 func admissionPolicy(name string) serve.AdmissionPolicy {
@@ -277,9 +297,9 @@ func (h clusterHandle) Confirm() error {
 	return retryTransient(func() error { return h.st.Confirm() })
 }
 
-// The PrefilterHandle extension: the stage-1 gate runs in this process
-// ("on device"), and these carry its declaration, digests and audit
-// samples to the shard over the v5 wire frames.
+// The prefilter verbs: the stage-1 gate runs in this process ("on
+// device"), and these carry its declaration, digests and audit samples
+// to the shard.
 func (h clusterHandle) DeclarePrefilter(cfg serve.PrefilterConfig) error {
 	return retryTransient(func() error { return h.st.DeclarePrefilter(cfg) })
 }
@@ -335,7 +355,7 @@ func describe(s scenario.Spec) string {
 		traits = append(traits, fmt.Sprintf("%gs load wave", s.Wave.Period))
 	}
 	if s.Quality == nil {
-		traits = append(traits, "no prefilter")
+		traits = append(traits, "no quality gate")
 	}
 	if s.Prefilter != nil {
 		traits = append(traits, fmt.Sprintf("stage-1 gate ×%g", s.Prefilter.Factor))

@@ -1,7 +1,7 @@
 // Command shardd is a standalone shard worker: one serve.Server —
 // sessions, model cache, background learners, the whole self-learning
 // loop — wrapped in the cluster wire protocol and exposed over TCP.
-// A serving front end (cmd/serve -cluster host:port,...) routes
+// A serving front end (cmd/loadgen -cluster host:port,...) routes
 // patients across N shardd processes by rendezvous hashing; each shardd
 // owns its patients' sessions and streams alarm/retrain/eviction/shed
 // events back to every connected client.
@@ -20,8 +20,9 @@
 // patient resumes warm at the same model version.
 //
 // Configuration must agree with the front end where it matters: -rate
-// must match the client's replay rate, the wire protocol version is
-// checked in the connection handshake, and the -peers strings must be
+// must match the client's replay rate, the wire protocol version must
+// match exactly (checked in the connection handshake, so front end and
+// shards are built from the same source), and the -peers strings must be
 // byte-identical to the front end's -cluster list.
 package main
 
@@ -108,11 +109,7 @@ func main() {
 		}
 	}
 	if *quality {
-		pf, err := serve.QualityPrefilter(signal.DefaultQuality())
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts = append(opts, serve.WithPrefilter(pf))
+		opts = append(opts, serve.WithQualityGate(signal.DefaultQuality()))
 	}
 	cfg := serve.Config{
 		Workers:            *workers,

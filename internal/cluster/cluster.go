@@ -495,26 +495,6 @@ func (r *Router) UplinkBytes() uint64 {
 	return n
 }
 
-// SupportsPrefilter reports whether every currently-healthy shard
-// negotiated protocol v5 or newer — the condition under which a client
-// may run its stage-1 prefilter against this fleet. Against a mixed or
-// older fleet the client should stream at full rate: the gated frames
-// would be silently dropped toward old shards, losing the digests'
-// accounting without telling the edge.
-func (r *Router) SupportsPrefilter() bool {
-	any := false
-	for _, sc := range r.shards {
-		if !sc.healthy.Load() {
-			continue
-		}
-		any = true
-		if sc.version.Load() < 5 {
-			return false
-		}
-	}
-	return any
-}
-
 // Close implements serve.ShardTransport: tears down every connection,
 // discards queued jobs (counted), and closes the merged event channel.
 // Open and Push fail with serve.ErrClosed afterwards. Idempotent.
@@ -684,9 +664,7 @@ func (st *Stream) Push(c0, c1 []float64) error {
 
 // DeclarePrefilter announces the stream's client-side stage-1
 // prefilter to the patient's shard, mirroring serve.Stream: the shard
-// arms its audit mirror from the declaration. Effective only against a
-// v5 fleet (check Router.SupportsPrefilter first); toward an older
-// shard the frame is silently skipped on the wire.
+// arms its audit mirror from the declaration.
 func (st *Stream) DeclarePrefilter(cfg serve.PrefilterConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err

@@ -39,8 +39,7 @@ type shardConn struct {
 	enc     *wire.Encoder
 	conn    net.Conn
 
-	lastPong atomic.Int64  // UnixNano of the latest pong
-	version  atomic.Uint32 // negotiated protocol version of the current/last session
+	lastPong atomic.Int64 // UnixNano of the latest pong
 
 	pendMu        sync.Mutex
 	pending       map[uint64]chan serve.Stats
@@ -151,12 +150,10 @@ func (sc *shardConn) sleep(d time.Duration) bool {
 func (sc *shardConn) session(conn net.Conn) (stopped bool) {
 	enc := wire.NewEncoder(conn)
 	dec := wire.NewDecoder(conn)
-	peerVersion, err := handshake(conn, enc, dec, sc.r.opts.DialTimeout)
-	if err != nil {
+	if err := handshake(conn, enc, dec, sc.r.opts.DialTimeout); err != nil {
 		conn.Close()
 		return false
 	}
-	sc.version.Store(peerVersion)
 
 	sc.writeMu.Lock()
 	sc.enc = enc
@@ -218,33 +215,27 @@ loop:
 	return stopped
 }
 
-// handshake exchanges Hello frames under a deadline and negotiates the
-// protocol version: any peer at wire.MinVersion or newer is accepted,
-// and both codec halves are pinned to min(wire.Version, peer's) so
-// frames the peer cannot parse (PushQ toward a v3 shard, the prefilter
-// family toward v4) are never sent, and its Stats frames are decoded in
-// the layout it actually emits. Returns the negotiated version.
-func handshake(conn net.Conn, enc *wire.Encoder, dec *wire.Decoder, timeout time.Duration) (uint32, error) {
+// handshake exchanges Hello frames under a deadline and refuses any
+// peer that does not speak exactly wire.Version: every peer is built
+// from the same source, so there is nothing to negotiate.
+func handshake(conn net.Conn, enc *wire.Encoder, dec *wire.Decoder, timeout time.Duration) error {
 	if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-		return 0, err
+		return err
 	}
 	if err := enc.Hello(); err != nil {
-		return 0, err
+		return err
 	}
 	if err := enc.Flush(); err != nil {
-		return 0, err
+		return err
 	}
 	m, err := dec.Next()
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if m.Kind != wire.KindHello || m.Version < wire.MinVersion {
-		return 0, fmt.Errorf("cluster: peer speaks %v v%d, want hello v%d or newer", m.Kind, m.Version, wire.MinVersion)
+	if m.Kind != wire.KindHello || m.Version != wire.Version {
+		return fmt.Errorf("cluster: peer speaks %v v%d, want hello v%d", m.Kind, m.Version, wire.Version)
 	}
-	v := min(m.Version, wire.Version)
-	enc.SetVersion(v)
-	dec.SetVersion(v)
-	return v, conn.SetDeadline(time.Time{})
+	return conn.SetDeadline(time.Time{})
 }
 
 // send runs one encode+flush under the write lock; ErrShardDown while
@@ -291,14 +282,6 @@ func (sc *shardConn) writeLoop(conn net.Conn, stop, done chan struct{}) {
 					err = sc.enc.AuditPush(j.Patient, j.C0, j.C1)
 				default:
 					err = sc.enc.Push(j.Patient, j.C0, j.C1)
-				}
-				if err == wire.ErrVersionGated {
-					// A prefilter frame toward a pre-v5 shard: the peer
-					// cannot use it, and an audit window must never be
-					// promoted into the live stream — drop silently. The
-					// client should not be prefiltering against an old
-					// fleet in the first place (see Router.SupportsPrefilter).
-					err = nil
 				}
 				sc.uplinkBytes.Add(sc.enc.BytesWritten() - before)
 			}

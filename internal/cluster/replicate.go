@@ -181,7 +181,7 @@ func (r *replicator) push(addr, patient string, version uint64, data []byte) boo
 	defer conn.Close()
 	enc := wire.NewEncoder(conn)
 	dec := wire.NewDecoder(conn)
-	if _, err := handshake(conn, enc, dec, r.s.opts.DialTimeout); err != nil {
+	if err := handshake(conn, enc, dec, r.s.opts.DialTimeout); err != nil {
 		return false
 	}
 	conn.SetWriteDeadline(time.Now().Add(r.s.opts.WriteDeadline))

@@ -194,16 +194,13 @@ func (c *clientConn) handle() {
 
 	enc := wire.NewEncoder(c.conn)
 	dec := wire.NewDecoder(c.conn)
-	// Handshake mirrors the client: Hello both ways, any peer at
-	// MinVersion or newer accepted, the effective version negotiated
-	// down to the older side, bounded by the shared write deadline.
+	// Handshake mirrors the client: Hello both ways, only a peer at
+	// exactly wire.Version accepted, bounded by the shared write deadline.
 	c.conn.SetDeadline(time.Now().Add(c.s.opts.WriteDeadline))
 	m, err := dec.Next()
-	if err != nil || m.Kind != wire.KindHello || m.Version < wire.MinVersion {
+	if err != nil || m.Kind != wire.KindHello || m.Version != wire.Version {
 		return
 	}
-	enc.SetVersion(m.Version)
-	dec.SetVersion(m.Version)
 	if err := enc.Hello(); err != nil {
 		return
 	}
@@ -363,13 +360,9 @@ func (c *clientConn) eventWriter(done chan struct{}) {
 		c.conn.SetWriteDeadline(time.Now().Add(c.s.opts.WriteDeadline))
 		var err error
 		if ev.Kind == serve.EventAuditRequest {
-			// Cross as the dedicated v5 frame so the router's read loop
-			// resurfaces it uniformly with local mode. A pre-v5 peer
-			// cannot have a declared prefilter to audit, so the gated
-			// frame is simply skipped for it.
-			if err = c.enc.AuditRequest(ev.Patient); err == wire.ErrVersionGated {
-				err = nil
-			}
+			// Cross as the dedicated frame so the router's read loop
+			// resurfaces it uniformly with local mode.
+			err = c.enc.AuditRequest(ev.Patient)
 		} else {
 			err = c.enc.Event(ev)
 		}

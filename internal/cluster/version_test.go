@@ -2,19 +2,19 @@ package cluster
 
 import (
 	"encoding/binary"
-	"math"
+	"fmt"
+	"io"
 	"net"
 	"testing"
 	"time"
 
-	"selflearn/internal/rt"
 	"selflearn/internal/serve"
 	"selflearn/internal/wire"
 )
 
 // helloFrame hand-crafts a Hello advertising an arbitrary version —
 // wire.Encoder always advertises its own build's Version, so acting as
-// an old peer needs raw bytes.
+// a mismatched peer needs raw bytes.
 func helloFrame(v uint32) []byte {
 	b := make([]byte, 9)
 	binary.LittleEndian.PutUint32(b, 5)
@@ -24,7 +24,7 @@ func helloFrame(v uint32) []byte {
 }
 
 // adcSamples builds a batch on a uint16 grid (integer ADC counts × a
-// power-of-two LSB) — data a v4 encoder would frame as PushQ.
+// power-of-two LSB) — data the encoder frames as PushQ.
 func adcSamples(n int, seed uint64) []float64 {
 	xs := make([]float64, n)
 	state := seed
@@ -35,187 +35,68 @@ func adcSamples(n int, seed uint64) []float64 {
 	return xs
 }
 
-// TestV3ClientAgainstV4Shard: a peer still speaking protocol v3 must
-// handshake with a current shard and stream float Push frames through
-// it — the v4 bump is additive and cannot strand deployed routers.
-func TestV3ClientAgainstV4Shard(t *testing.T) {
+// TestMismatchedHelloRefused: a shard accepts only a peer speaking
+// exactly wire.Version. Older, newer and zero versions are all hung up
+// on at the handshake — never negotiated with, never answered.
+func TestMismatchedHelloRefused(t *testing.T) {
 	ts := startShard(t, "127.0.0.1:0")
 	defer ts.stop()
-
-	conn, err := net.Dial("tcp", ts.addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(helloFrame(3)); err != nil {
-		t.Fatal(err)
-	}
-	dec := wire.NewDecoder(conn)
-	dec.SetVersion(3) // a real v3 peer reads the v3 stats layout
-	m, err := dec.Next()
-	if err != nil {
-		t.Fatalf("shard hung up on a v3 hello: %v", err)
-	}
-	if m.Kind != wire.KindHello || m.Version != wire.Version {
-		t.Fatalf("shard hello = %+v, want v%d", m, wire.Version)
-	}
-
-	enc := wire.NewEncoder(conn)
-	enc.SetVersion(3) // what a real v3 peer's encoder would produce
-	rec := testRecording(t, 77, 12, -1, 0)
-	for off := 0; off+testRate <= len(rec.Data[0]); off += testRate {
-		if err := enc.Push("v3-patient", rec.Data[0][off:off+testRate], rec.Data[1][off:off+testRate]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The shard must classify those batches: poll its stats over the
-	// same v3 connection until windows appear.
-	deadline := time.Now().Add(30 * time.Second)
-	for token := uint64(1); ; token++ {
-		if err := enc.StatsReq(token); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var st serve.Stats
-		for {
-			m, err := dec.Next()
+	for _, v := range []uint32{wire.Version - 1, wire.Version + 1, 0} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			conn, err := net.Dial("tcp", ts.addr())
 			if err != nil {
-				t.Fatalf("reading stats reply: %v", err)
+				t.Fatal(err)
 			}
-			if m.Kind == wire.KindStats && m.Token == token {
-				st = m.Stats
-				break
+			defer conn.Close()
+			if _, err := conn.Write(helloFrame(v)); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if st.Windows > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no windows classified over the v3 connection: %+v", st)
-		}
-		time.Sleep(20 * time.Millisecond)
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if m, err := wire.NewDecoder(conn).Next(); err == nil {
+				t.Fatalf("shard answered a v%d hello with %v v%d instead of closing", v, m.Kind, m.Version)
+			}
+		})
 	}
 }
 
-// TestAncientPeerRefused: versions below wire.MinVersion must be turned
-// away at the handshake, not trickle garbage into the frame loop.
-func TestAncientPeerRefused(t *testing.T) {
-	ts := startShard(t, "127.0.0.1:0")
-	defer ts.stop()
-	conn, err := net.Dial("tcp", ts.addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(helloFrame(wire.MinVersion - 1)); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, err := wire.NewDecoder(conn).Next(); err == nil {
-		t.Fatal("shard answered a v2 hello instead of closing")
-	}
-}
-
-// TestRouterSpeaksFloatToV3Shard: a router facing a v3 shard must
-// negotiate down and send float Push frames even for batches that
-// would quantize — and the samples must arrive bit-identical.
-func TestRouterSpeaksFloatToV3Shard(t *testing.T) {
+// TestRouterRefusesNewerShard: a router whose only shard answers the
+// Hello with wire.Version+1 must never count it healthy, so WaitReady
+// times out instead of the router streaming at a peer it cannot parse.
+func TestRouterRefusesNewerShard(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-
-	c0, c1 := adcSamples(testRate, 11), adcSamples(testRate, 12)
-	const wantBatches = 5
-	got := make(chan wire.Msg, wantBatches)
-	errs := make(chan error, 1)
 	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			errs <- err
-			return
-		}
-		defer conn.Close()
-		dec := wire.NewDecoder(conn)
-		m, err := dec.Next()
-		if err != nil || m.Kind != wire.KindHello {
-			errs <- err
-			return
-		}
-		if _, err := conn.Write(helloFrame(3)); err != nil { // we are a v3 shard
-			errs <- err
-			return
-		}
-		enc := wire.NewEncoder(conn)
-		enc.SetVersion(3)
 		for {
-			m, err := dec.Next()
+			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			switch m.Kind {
-			case wire.KindPing:
-				enc.Pong(m.Token)
-				enc.Flush()
-			case wire.KindPush:
-				select {
-				case got <- m:
-				default:
+			go func() {
+				defer conn.Close()
+				if _, err := wire.NewDecoder(conn).Next(); err != nil {
+					return
 				}
-			case wire.KindPushQ:
-				errs <- err // signal below via closed channel semantics
-				close(got)
-				return
-			}
+				if _, err := conn.Write(helloFrame(wire.Version + 1)); err != nil {
+					return
+				}
+				io.Copy(io.Discard, conn) // hold the socket until the router hangs up
+			}()
 		}
 	}()
 
 	r, err := Dial([]string{ln.Addr().String()}, Options{
-		DialTimeout:  5 * time.Second,
-		PingInterval: 50 * time.Millisecond,
+		DialTimeout:      time.Second,
+		ReconnectBackoff: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	h, err := r.Open("grid-patient")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	for i := 0; i < wantBatches; i++ {
-		pushSamples(t, h, c0, c1)
-	}
-
-	deadline := time.After(30 * time.Second)
-	for seen := 0; seen < wantBatches; {
-		select {
-		case err := <-errs:
-			t.Fatalf("fake v3 shard failed (nil error means a PushQ frame arrived): %v", err)
-		case m, ok := <-got:
-			if !ok {
-				t.Fatal("router sent a v4 PushQ frame to a v3 shard")
-			}
-			if len(m.C0) != len(c0) {
-				t.Fatalf("push has %d samples, want %d", len(m.C0), len(c0))
-			}
-			for i := range c0 {
-				if math.Float64bits(m.C0[i]) != math.Float64bits(c0[i]) ||
-					math.Float64bits(m.C1[i]) != math.Float64bits(c1[i]) {
-					t.Fatalf("sample %d corrupted crossing to the v3 shard", i)
-				}
-			}
-			seen++
-		case <-deadline:
-			t.Fatalf("fake v3 shard never received the batches")
-		}
+	if err := r.WaitReady(500 * time.Millisecond); err == nil {
+		t.Fatalf("router reported a v%d shard ready", wire.Version+1)
 	}
 }
 
@@ -240,194 +121,4 @@ func TestClusterServesQuantizedBatches(t *testing.T) {
 	awaitSnapshot(t, clusterBackend{r}, "windows from quantized batches", func(st serve.Stats) bool {
 		return st.Windows > 0
 	})
-}
-
-// TestV4ClientAgainstV5Shard: a peer still speaking protocol v4 must
-// handshake with a current shard, stream batches through it, and read
-// stats in the v4 layout — and the shard must never send it a v5
-// prefilter frame. The v5 bump is additive like v4's.
-func TestV4ClientAgainstV5Shard(t *testing.T) {
-	ts := startShard(t, "127.0.0.1:0")
-	defer ts.stop()
-
-	conn, err := net.Dial("tcp", ts.addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(helloFrame(4)); err != nil {
-		t.Fatal(err)
-	}
-	dec := wire.NewDecoder(conn)
-	dec.SetVersion(4) // a real v4 peer reads the v4 stats layout
-	m, err := dec.Next()
-	if err != nil {
-		t.Fatalf("shard hung up on a v4 hello: %v", err)
-	}
-	if m.Kind != wire.KindHello || m.Version != wire.Version {
-		t.Fatalf("shard hello = %+v, want v%d", m, wire.Version)
-	}
-
-	enc := wire.NewEncoder(conn)
-	enc.SetVersion(4) // what a real v4 peer's encoder would produce
-	rec := testRecording(t, 78, 12, -1, 0)
-	for off := 0; off+testRate <= len(rec.Data[0]); off += testRate {
-		if err := enc.Push("v4-patient", rec.Data[0][off:off+testRate], rec.Data[1][off:off+testRate]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(30 * time.Second)
-	for token := uint64(1); ; token++ {
-		if err := enc.StatsReq(token); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		var st serve.Stats
-		for {
-			m, err := dec.Next()
-			if err != nil {
-				t.Fatalf("reading stats reply: %v", err)
-			}
-			switch m.Kind {
-			case wire.KindPrefilterDecl, wire.KindPushDigest, wire.KindAuditPush, wire.KindAuditRequest:
-				t.Fatalf("shard sent a v5 %v frame to a v4 peer", m.Kind)
-			}
-			if m.Kind == wire.KindStats && m.Token == token {
-				st = m.Stats
-				break
-			}
-		}
-		if st.Windows > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no windows classified over the v4 connection: %+v", st)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// TestRouterSkipsPrefilterFramesToV4Shard: a router facing a v4 shard
-// must negotiate down, report the fleet as prefilter-incapable, and —
-// even if a client declares a prefilter anyway — silently skip every
-// v5 frame while full-rate pushes keep flowing.
-func TestRouterSkipsPrefilterFramesToV4Shard(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	c0, c1 := adcSamples(testRate, 31), adcSamples(testRate, 32)
-	const wantBatches = 3
-	got := make(chan wire.Msg, wantBatches)
-	errs := make(chan error, 1)
-	v5seen := make(chan wire.Kind, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			errs <- err
-			return
-		}
-		defer conn.Close()
-		dec := wire.NewDecoder(conn)
-		dec.SetVersion(4)
-		m, err := dec.Next()
-		if err != nil || m.Kind != wire.KindHello {
-			errs <- err
-			return
-		}
-		if _, err := conn.Write(helloFrame(4)); err != nil { // we are a v4 shard
-			errs <- err
-			return
-		}
-		enc := wire.NewEncoder(conn)
-		enc.SetVersion(4)
-		for {
-			m, err := dec.Next()
-			if err != nil {
-				return
-			}
-			switch m.Kind {
-			case wire.KindPing:
-				enc.Pong(m.Token)
-				enc.Flush()
-			case wire.KindPush, wire.KindPushQ:
-				select {
-				case got <- m:
-				default:
-				}
-			case wire.KindPrefilterDecl, wire.KindPushDigest, wire.KindAuditPush, wire.KindAuditRequest:
-				select {
-				case v5seen <- m.Kind:
-				default:
-				}
-				return
-			}
-		}
-	}()
-
-	r, err := Dial([]string{ln.Addr().String()}, Options{
-		DialTimeout:  5 * time.Second,
-		PingInterval: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := r.WaitReady(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if r.SupportsPrefilter() {
-		t.Fatal("router reports prefilter support against a v4 fleet")
-	}
-
-	h, err := r.Open("edge-patient")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	// A client that declares anyway: every v5 frame must evaporate at
-	// the connection, not kill it or reach the old shard.
-	if err := h.DeclarePrefilter(serve.PrefilterConfig{Gate: rt.GateConfig{Factor: 2.5, HistoryWindows: 64}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.PushDigest(serve.Digest{Windows: 3, SumAmp: 1, MinAmp: 0.1, MaxAmp: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.PushAudit(c0, c1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < wantBatches; i++ {
-		pushSamples(t, h, c0, c1)
-	}
-
-	deadline := time.After(30 * time.Second)
-	for seen := 0; seen < wantBatches; {
-		select {
-		case err := <-errs:
-			t.Fatalf("fake v4 shard failed: %v", err)
-		case k := <-v5seen:
-			t.Fatalf("router sent a v5 %v frame to a v4 shard", k)
-		case m := <-got:
-			if len(m.C0) != len(c0) {
-				t.Fatalf("push has %d samples, want %d", len(m.C0), len(c0))
-			}
-			for i := range c0 {
-				if math.Float64bits(m.C0[i]) != math.Float64bits(c0[i]) ||
-					math.Float64bits(m.C1[i]) != math.Float64bits(c1[i]) {
-					t.Fatalf("sample %d corrupted crossing to the v4 shard", i)
-				}
-			}
-			seen++
-		case <-deadline:
-			t.Fatalf("fake v4 shard never received the batches")
-		}
-	}
 }

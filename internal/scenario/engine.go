@@ -24,32 +24,28 @@ type Backend interface {
 	Snapshot() serve.Stats
 }
 
-// Handle is one patient's stream handle. Push may return
-// serve.ErrBackpressure, which the engine retries; any other error
-// aborts the scenario. Remote implementations are expected to absorb
-// their transient transport errors (failover in flight) internally.
+// Handle is one patient's stream handle; serve.Stream satisfies it.
+// Any call may return serve.ErrBackpressure, which the engine retries;
+// any other error aborts the scenario. Remote implementations are
+// expected to absorb their transient transport errors (failover in
+// flight) internally. The prefilter verbs carry the edge/cloud split's
+// uplink — declaration, digests and audit samples — and are called only
+// when the spec declares a prefilter.
 type Handle interface {
 	Push(c0, c1 []float64) error
 	Confirm() error
-	Close()
-}
-
-// PrefilterHandle is the uplink surface of the edge/cloud split — the
-// optional extension a Handle implements to carry prefilter traffic.
-// serve.Stream and cluster.Stream both satisfy it; the engine requires
-// it only when the spec declares a prefilter.
-type PrefilterHandle interface {
-	Handle
 	DeclarePrefilter(serve.PrefilterConfig) error
 	PushDigest(serve.Digest) error
 	PushAudit(c0, c1 []float64) error
+	Close()
 }
 
 // Collector accumulates the event-side outcomes of a run: per-patient
 // alarm stream times (Event.StreamTime — the deterministic clock
 // detections are scored on), per-patient model versions (the retrain
-// barrier), and quality rejections. Feed it every event, either as a
-// synchronous sink (local) or by draining an Events channel (cluster).
+// barrier and the run's retrain evidence), and quality rejections. Feed
+// it every event, either as a synchronous sink (local) or by draining
+// an Events channel (cluster).
 type Collector struct {
 	mu       sync.Mutex
 	alarms   map[string][]float64
@@ -112,6 +108,17 @@ func (c *Collector) TotalAlarms() uint64 {
 	return c.total
 }
 
+// Versions returns a copy of the per-patient model versions observed.
+func (c *Collector) Versions() map[string]uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]uint64, len(c.versions))
+	for p, v := range c.versions {
+		out[p] = v
+	}
+	return out
+}
+
 // WaitVersion blocks until the patient's model version reaches v — the
 // confirm barrier that makes retraining deterministic: no batch pushed
 // after it can race the model install.
@@ -131,9 +138,9 @@ func (c *Collector) WaitVersion(patient string, v uint64, timeout time.Duration)
 	}
 }
 
-// admittedMask mirrors the serving path's quality prefilter client-side:
-// one bool per stream second, true when the batch would be admitted.
-// The mirror must agree with serve.QualityPrefilter exactly — including
+// admittedMask mirrors the serving path's quality gate client-side: one
+// bool per stream second, true when the batch would be admitted. The
+// mirror must agree with serve.WithQualityGate exactly — including
 // failing open on assessment errors — because ground truth is mapped
 // through it into admitted stream time.
 func admittedMask(ps PatientStream, fs float64, q *signal.QualityConfig) []bool {
@@ -210,7 +217,7 @@ func buildPrefilterPlan(ps PatientStream, fs int, p *PrefilterSpec) (*prefilterP
 }
 
 // uplinkMeter prices one patient's uplink in wire-protocol bytes by
-// encoding the exact frames a v5 connection would carry into a discard
+// encoding the exact frames a connection would carry into a discard
 // writer. The meter measures the protocol, not one transport's socket,
 // so local and cluster runs report the same number for the same spec —
 // and the prefilter-off baseline is priced with the identical ruler.
@@ -323,17 +330,18 @@ func (w *Workload) Run(b Backend, c *Collector) (*Result, error) {
 		}
 	}
 
-	var expRetrains uint64
-	if spec.Confirm {
-		for _, ps := range w.Streams {
-			if len(ps.Truth) > 0 {
-				expRetrains++
-			}
-		}
-	}
-	st, err := awaitDrain(b, base, c, spec.Admission == "block", expWindows, expRejects, expRetrains, expSuppressed, expSamples)
+	st, err := awaitDrain(b, base, c, spec.Admission == "block", expWindows, expRejects, expSuppressed, expSamples)
 	if err != nil {
 		return nil, err
+	}
+	// Retrain evidence: every confirming patient already passed the
+	// WaitVersion barrier, so the version table names each patient that
+	// closed the self-learning loop. It outlives a shard that died
+	// mid-run, whose Retrains counter leaves the fleet snapshot with it.
+	versions := c.Versions()
+	retrains := st.Retrains
+	if n := uint64(len(versions)); n > retrains {
+		retrains = n
 	}
 
 	var uplink uint64
@@ -351,8 +359,9 @@ func (w *Workload) Run(b Backend, c *Collector) (*Result, error) {
 		QualityRejected: st.QualityRejected,
 		Shed:            st.BatchesShed,
 		Dropped:         st.BatchesDropped,
-		Retrains:        st.Retrains,
+		Retrains:        retrains,
 		Alarms:          st.Alarms,
+		ModelVersions:   versions,
 
 		UplinkBytes:        uplink,
 		SuppressedWindows:  st.WindowsSuppressed,
@@ -400,16 +409,11 @@ func (w *Workload) runPatient(b Backend, c *Collector, ps PatientStream, fs int,
 	}
 	defer func() { h.Close() }()
 
-	var pf PrefilterHandle
 	if plan != nil {
-		var ok bool
-		if pf, ok = h.(PrefilterHandle); !ok {
-			return fmt.Errorf("scenario: backend handle %T cannot carry prefilter traffic", h)
-		}
 		// Declared exactly once: a re-declaration after churn would reset
 		// the shard's audit state (mirror baseline, disagreement count)
 		// mid-run, while the server-side session survives reopens.
-		if err := declareRetry(pf, plan.decl); err != nil {
+		if err := retry(func() error { return h.DeclarePrefilter(plan.decl) }); err != nil {
 			return fmt.Errorf("scenario: %s declare: %w", ps.ID, err)
 		}
 		meter.declare(ps.ID, plan.decl)
@@ -437,25 +441,19 @@ func (w *Workload) runPatient(b Backend, c *Collector, ps PatientStream, fs int,
 			if h, err = b.Open(ps.ID); err != nil {
 				return err
 			}
-			if plan != nil {
-				var ok bool
-				if pf, ok = h.(PrefilterHandle); !ok {
-					return fmt.Errorf("scenario: backend handle %T cannot carry prefilter traffic", h)
-				}
-			}
 		}
 		lo := sec * fs
 		c0b, c1b := ps.C0[lo:lo+fs], ps.C1[lo:lo+fs]
 		if plan == nil {
-			if err := pushRetry(h, c0b, c1b); err != nil {
+			if err := retry(func() error { return h.Push(c0b, c1b) }); err != nil {
 				return fmt.Errorf("scenario: %s second %d: %w", ps.ID, sec, err)
 			}
 			meter.push(ps.ID, c0b, c1b)
-		} else if err := pushGated(pf, ps.ID, sec, c0b, c1b, plan.actions[sec], meter); err != nil {
+		} else if err := pushGated(h, ps.ID, sec, c0b, c1b, plan.actions[sec], meter); err != nil {
 			return err
 		}
 		if sec == confirmAt {
-			if err := confirmRetry(h); err != nil {
+			if err := retry(h.Confirm); err != nil {
 				return fmt.Errorf("scenario: %s confirm: %w", ps.ID, err)
 			}
 			meter.confirm(ps.ID)
@@ -477,7 +475,7 @@ func (w *Workload) runPatient(b Backend, c *Collector, ps PatientStream, fs int,
 		}
 	}
 	if plan != nil && plan.final.Windows > 0 {
-		if err := digestRetry(pf, plan.final); err != nil {
+		if err := retry(func() error { return h.PushDigest(plan.final) }); err != nil {
 			return fmt.Errorf("scenario: %s final digest: %w", ps.ID, err)
 		}
 		meter.digest(ps.ID, plan.final)
@@ -489,21 +487,21 @@ func (w *Workload) runPatient(b Backend, c *Collector, ps PatientStream, fs int,
 // the completed digest flushes first (the shard's mirror consumes
 // amplitudes in stream order), then the batch crosses as a full push,
 // an audit sample, or not at all.
-func pushGated(pf PrefilterHandle, id string, sec int, c0, c1 []float64, a serve.PrefilterAction, meter *uplinkMeter) error {
+func pushGated(h Handle, id string, sec int, c0, c1 []float64, a serve.PrefilterAction, meter *uplinkMeter) error {
 	if a.Flush.Windows > 0 {
-		if err := digestRetry(pf, a.Flush); err != nil {
+		if err := retry(func() error { return h.PushDigest(a.Flush) }); err != nil {
 			return fmt.Errorf("scenario: %s digest at %d: %w", id, sec, err)
 		}
 		meter.digest(id, a.Flush)
 	}
 	switch {
 	case a.Ship:
-		if err := pushRetry(pf, c0, c1); err != nil {
+		if err := retry(func() error { return h.Push(c0, c1) }); err != nil {
 			return fmt.Errorf("scenario: %s second %d: %w", id, sec, err)
 		}
 		meter.push(id, c0, c1)
 	case a.Audit:
-		if err := auditRetry(pf, c0, c1); err != nil {
+		if err := retry(func() error { return h.PushAudit(c0, c1) }); err != nil {
 			return fmt.Errorf("scenario: %s audit at %d: %w", id, sec, err)
 		}
 		meter.audit(id, c0, c1)
@@ -519,49 +517,11 @@ func wavePhase(id string, period float64) float64 {
 	return float64(h.Sum64() % uint64(period))
 }
 
-func pushRetry(h Handle, c0, c1 []float64) error {
+// retry repeats one handle call while the backend answers
+// serve.ErrBackpressure — the gateway's buffer-and-resend policy.
+func retry(op func() error) error {
 	for {
-		err := h.Push(c0, c1)
-		if err != serve.ErrBackpressure {
-			return err
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func confirmRetry(h Handle) error {
-	for {
-		err := h.Confirm()
-		if err != serve.ErrBackpressure {
-			return err
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func declareRetry(h PrefilterHandle, cfg serve.PrefilterConfig) error {
-	for {
-		err := h.DeclarePrefilter(cfg)
-		if err != serve.ErrBackpressure {
-			return err
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func digestRetry(h PrefilterHandle, d serve.Digest) error {
-	for {
-		err := h.PushDigest(d)
-		if err != serve.ErrBackpressure {
-			return err
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func auditRetry(h PrefilterHandle, c0, c1 []float64) error {
-	for {
-		err := h.PushAudit(c0, c1)
+		err := op()
 		if err != serve.ErrBackpressure {
 			return err
 		}
@@ -573,8 +533,9 @@ func auditRetry(h PrefilterHandle, c0, c1 []float64) error {
 // scenario pushed and the collector has seen every alarm event. With
 // lossless (block) admission the expected counters are exact and are
 // verified; with drop/shed admission the run waits for the counters to
-// go quiescent instead.
-func awaitDrain(b Backend, base serve.Stats, c *Collector, exact bool, expWindows, expRejects, expRetrains, expSuppressed, expSamples uint64) (serve.Stats, error) {
+// go quiescent instead. Retrains need no wait: the confirm barrier in
+// runPatient already saw every confirming patient's new model version.
+func awaitDrain(b Backend, base serve.Stats, c *Collector, exact bool, expWindows, expRejects, expSuppressed, expSamples uint64) (serve.Stats, error) {
 	deadline := time.Now().Add(120 * time.Second) //selflearn:wallclock-ok operational drain timeout, not replay state
 	var last serve.Stats
 	stable := 0
@@ -583,7 +544,7 @@ func awaitDrain(b Backend, base serve.Stats, c *Collector, exact bool, expWindow
 		if st.RetrainErrors > 0 || st.ConfirmsDropped > 0 {
 			return st, fmt.Errorf("scenario: retrain failed or confirm lost: %d errors, %d lost", st.RetrainErrors, st.ConfirmsDropped)
 		}
-		caughtUp := c.TotalAlarms() >= st.Alarms && st.Retrains >= expRetrains
+		caughtUp := c.TotalAlarms() >= st.Alarms
 		if exact {
 			if caughtUp && st.Windows >= expWindows && st.QualityRejected >= expRejects &&
 				st.WindowsSuppressed >= expSuppressed && st.AuditSamples >= expSamples {
@@ -610,8 +571,8 @@ func awaitDrain(b Backend, base serve.Stats, c *Collector, exact bool, expWindow
 			last = st
 		}
 		if time.Now().After(deadline) { //selflearn:wallclock-ok operational drain timeout, not replay state
-			return st, fmt.Errorf("scenario: drain timed out: windows %d/%d, rejects %d/%d, retrains %d/%d",
-				st.Windows, expWindows, st.QualityRejected, expRejects, st.Retrains, expRetrains)
+			return st, fmt.Errorf("scenario: drain timed out: windows %d/%d, rejects %d/%d, alarms observed %d/%d",
+				st.Windows, expWindows, st.QualityRejected, expRejects, c.TotalAlarms(), st.Alarms)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -661,11 +622,7 @@ func NewLocalServer(w *Workload, c *Collector) (*serve.Server, error) {
 		opts = append(opts, serve.WithAdmission(serve.BlockWithDeadline(0)))
 	}
 	if spec.Quality != nil {
-		pf, err := serve.QualityPrefilter(*spec.Quality)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, serve.WithPrefilter(pf))
+		opts = append(opts, serve.WithQualityGate(*spec.Quality))
 	}
 	return serve.New(cfg, opts...)
 }

@@ -10,9 +10,9 @@ import "selflearn/internal/signal"
 // exactly countable; each scenario perturbs exactly one axis so a
 // regression points at the subsystem that broke.
 //
-// The quality prefilter runs with default thresholds everywhere except
-// clean-replay-nofilter, the control arm proving the prefilter is a
-// no-op on clean signal.
+// The quality gate runs with default thresholds everywhere except
+// clean-replay-nofilter, the control arm proving the gate is a no-op on
+// clean signal.
 func Matrix() []Spec {
 	base := func(name string, seed int64) Spec {
 		q := signal.DefaultQuality()

@@ -55,10 +55,10 @@ type Spec struct {
 	// Wave modulates real-time pacing (cmd/loadgen -speed only; at full
 	// replay speed it has no effect on results).
 	Wave Wave `json:"wave,omitempty"`
-	// Quality, when non-nil, installs the quality prefilter on the
-	// serving path with these thresholds; the engine mirrors the same
-	// assessment client-side to map ground truth into admitted stream
-	// time. Nil = no prefilter.
+	// Quality, when non-nil, installs the quality gate on the serving
+	// path with these thresholds; the engine mirrors the same assessment
+	// client-side to map ground truth into admitted stream time. Nil = no
+	// quality gate.
 	Quality *signal.QualityConfig `json:"quality,omitempty"`
 	// Prefilter, when non-nil, replays the edge/cloud two-stage split:
 	// the engine runs the declared amplitude gate "on device", ships
@@ -335,13 +335,18 @@ type Result struct {
 	QualityRejected uint64 `json:"quality_rejected"`
 	Shed            uint64 `json:"batches_shed"`
 	Dropped         uint64 `json:"batches_dropped"`
-	// Retrains counts completed background retrains; Alarms the alarms
-	// raised.
+	// Retrains counts completed background retrains — at least one per
+	// patient in ModelVersions, even when a shard that did some of them
+	// left the fleet mid-run; Alarms counts the alarms raised.
 	Retrains uint64 `json:"retrains"`
 	Alarms   uint64 `json:"alarms"`
+	// ModelVersions is each retrained patient's latest model version as
+	// the run observed it (cmd/loadgen max-merges the router's
+	// announce-fed table over it).
+	ModelVersions map[string]uint64 `json:"model_versions,omitempty"`
 	// Uplink accounting for the edge/cloud split. UplinkBytes prices
 	// every frame the run pushed (batches, digests, audit samples,
-	// declarations, confirms) in wire-protocol v5 bytes, so local and
+	// declarations, confirms) in wire-protocol bytes, so local and
 	// cluster backends report the same number for the same spec.
 	// SuppressedWindows, AuditSamples, AuditDisagreements and
 	// DriftEvents are the shard's prefilter-audit counters; all zero

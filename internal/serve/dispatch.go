@@ -197,8 +197,8 @@ func (w *worker) admit(d *drain, j Job, historyRows int) {
 	// before any session state or classifier time is spent on it.
 	// The samples never reach the feature streamer — the window
 	// stream skips the unusable second.
-	if !j.Confirm && w.srv.prefilter != nil &&
-		!w.srv.prefilter.Admit(j.C0, j.C1, w.srv.cfg.SampleRate) {
+	if !j.Confirm && w.srv.quality != nil &&
+		!qualityOK(w.srv.quality, j.C0, j.C1, w.srv.cfg.SampleRate) {
 		w.srv.qualityRejected.Add(1)
 		if j.Stream != nil {
 			j.Stream.NoteRejected()

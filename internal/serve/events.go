@@ -31,7 +31,7 @@ const (
 	// checkpoint replication and warm failover off this event.
 	EventModelUpdated
 	// EventQualityReject reports an accepted batch refused by the
-	// quality prefilter (WithPrefilter) before feature extraction —
+	// quality gate (WithQualityGate) before feature extraction —
 	// electrode dropout or a saturating artifact made the second
 	// unusable. The pushing caller saw no error (its Push had already
 	// succeeded); this event and Stats.QualityRejected are how garbage

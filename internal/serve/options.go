@@ -1,5 +1,7 @@
 package serve
 
+import "selflearn/internal/signal"
+
 // Option configures a Server beyond the capacity knobs in Config:
 // pluggable policy objects live here so Config stays a plain,
 // serializable sizing struct.
@@ -8,7 +10,7 @@ type Option func(*serverOptions)
 type serverOptions struct {
 	store       ModelStore
 	admission   AdmissionPolicy
-	prefilter   Prefilter
+	quality     *signal.QualityConfig
 	eventBuffer int
 	sink        func(Event)
 }
@@ -45,14 +47,20 @@ func WithAdmission(p AdmissionPolicy) Option {
 	}
 }
 
-// WithPrefilter installs a quality-aware admission stage: every batch
-// is inspected on its shard worker before feature extraction, and a
-// refused batch is dropped without burning classifier time — counted in
-// Stats.QualityRejected and announced as an EventQualityReject. Without
-// one, every accepted batch is processed (the previous behavior).
-// QualityPrefilter builds the standard signal-quality implementation.
-func WithPrefilter(p Prefilter) Option {
-	return func(o *serverOptions) { o.prefilter = p }
+// WithQualityGate installs quality-aware admission on the serving path:
+// every batch is assessed on its shard worker before feature extraction
+// with internal/signal's channel quality check, and is admitted only
+// when BOTH electrode channels pass cfg's flatline and clipping
+// thresholds — the paper's 10-feature set mixes both channels, so one
+// garbage electrode poisons every feature. A refused batch never
+// reaches the feature streamer (the session's window stream simply
+// skips the garbage second, exactly as if the wearable had never
+// recorded it), is counted in Stats.QualityRejected and the owning
+// stream's StreamStats.QualityRejected, and is announced as an
+// EventQualityReject. New rejects an invalid cfg. Without the option,
+// every accepted batch is processed.
+func WithQualityGate(cfg signal.QualityConfig) Option {
+	return func(o *serverOptions) { o.quality = &cfg }
 }
 
 // WithEventBuffer sizes the Events subscriber channel (default 256). A

@@ -2,47 +2,14 @@ package serve
 
 import "selflearn/internal/signal"
 
-// Prefilter inspects a raw sample batch before it enters the feature
-// pipeline — the quality-aware admission stage of the serving path. A
-// batch the prefilter refuses is discarded on the shard worker before
-// any feature extraction or classification happens, counted in
-// Stats.QualityRejected (and the owning stream's
-// StreamStats.QualityRejected) and surfaced as an EventQualityReject.
-// Rejected samples never reach the feature streamer: the session's
-// window stream simply skips the garbage second, exactly as if the
-// wearable had never recorded it.
-type Prefilter interface {
-	// Admit reports whether the batch is usable signal. It runs on the
-	// shard worker goroutine for every accepted batch, so it must be
-	// fast and must not block or allocate.
-	Admit(c0, c1 []float64, fs float64) bool
-}
-
-// QualityPrefilter returns a Prefilter backed by internal/signal's
-// channel quality assessment: a batch is admitted only when BOTH
-// electrode channels pass cfg's flatline and clipping thresholds. An
-// electrode dropout (flatlined lead) or a saturating motion artifact on
-// either channel rejects the whole batch — the paper's 10-feature set
-// mixes both channels, so one garbage electrode poisons every feature.
-func QualityPrefilter(cfg signal.QualityConfig) (Prefilter, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// qualityOK reports whether a batch passes the quality gate. An
+// unassessable channel (empty, bad rate) is not evidence of garbage:
+// the gate fails open so a gate bug never silences a patient.
+func qualityOK(cfg *signal.QualityConfig, c0, c1 []float64, fs float64) bool {
+	for _, ch := range [][]float64{c0, c1} {
+		if r, err := signal.AssessChannel(ch, fs, *cfg); err == nil && !r.OK {
+			return false
+		}
 	}
-	return qualityPrefilter{cfg: cfg}, nil
-}
-
-type qualityPrefilter struct{ cfg signal.QualityConfig }
-
-func (p qualityPrefilter) Admit(c0, c1 []float64, fs float64) bool {
-	return p.channelOK(c0, fs) && p.channelOK(c1, fs)
-}
-
-func (p qualityPrefilter) channelOK(xs []float64, fs float64) bool {
-	r, err := signal.AssessChannel(xs, fs, p.cfg)
-	if err != nil {
-		// An unassessable batch (empty, bad rate) is not evidence of
-		// garbage; fail open so a prefilter bug never silences a patient.
-		return true
-	}
-	return r.OK
+	return true
 }

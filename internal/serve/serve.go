@@ -154,10 +154,9 @@ type Stats struct {
 	Batches        uint64
 	BatchesDropped uint64
 	BatchesShed    uint64
-	// QualityRejected counts accepted batches the quality prefilter
-	// refused before feature extraction (WithPrefilter) — garbage
-	// seconds that never burned classifier time. Always 0 without a
-	// prefilter.
+	// QualityRejected counts accepted batches the quality gate refused
+	// before feature extraction (WithQualityGate) — garbage seconds
+	// that never burned classifier time. Always 0 without a gate.
 	QualityRejected uint64
 	// Windows is the number of feature windows classified.
 	Windows uint64
@@ -217,7 +216,7 @@ type Stats struct {
 type Server struct {
 	cfg       Config
 	admission AdmissionPolicy
-	prefilter Prefilter
+	quality   *signal.QualityConfig // nil = no quality gate
 	transport *localTransport
 	learner   *learner
 	cache     *modelCache
@@ -286,7 +285,12 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 	for _, opt := range opts {
 		opt(&so)
 	}
-	s := &Server{cfg: cfg, admission: so.admission, prefilter: so.prefilter, start: time.Now()}
+	if so.quality != nil {
+		if err := so.quality.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	s := &Server{cfg: cfg, admission: so.admission, quality: so.quality, start: time.Now()}
 	s.lastSnap = s.start
 	s.hub = newEventHub(so.eventBuffer, so.sink)
 	s.cache = newModelCache(cfg.ModelCacheSize, so.store, func(error) { s.storeErrors.Add(1) })

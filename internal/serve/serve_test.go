@@ -247,6 +247,10 @@ func TestNewRejectsBadPipelineConfig(t *testing.T) {
 	if _, err := New(Config{SampleRate: testRate, FeatureCfg: features.Config{Window: signal.DefaultWindow()}}); err == nil {
 		t.Fatal("New accepted a feature config with a window but Level 0")
 	}
+	// An invalid quality gate is refused up front, not at the first batch.
+	if _, err := New(Config{SampleRate: testRate}, WithQualityGate(signal.QualityConfig{})); err == nil {
+		t.Fatal("New accepted a quality gate with no clip level")
+	}
 }
 
 func TestOpenAndPushValidation(t *testing.T) {

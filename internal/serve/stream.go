@@ -48,7 +48,7 @@ type StreamStats struct {
 	BatchesDropped uint64
 	BatchesShed    uint64
 	// QualityRejected counts accepted batches the server's quality
-	// prefilter refused before feature extraction.
+	// gate refused before feature extraction.
 	QualityRejected uint64
 	// Confirms counts accepted confirmations.
 	Confirms uint64

@@ -46,9 +46,9 @@ type StreamObserver interface {
 	NoteWindows(n int)
 	NoteAlarms(n int)
 	// NoteRejected records one of the stream's accepted batches refused
-	// by the quality prefilter before feature extraction. Only the
-	// local transport calls it; remote rejections arrive as
-	// EventQualityReject events.
+	// by the quality gate before feature extraction. Only the local
+	// transport calls it; remote rejections arrive as EventQualityReject
+	// events.
 	NoteRejected()
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"testing"
-	"time"
 
 	"selflearn/internal/rt"
 	"selflearn/internal/serve"
@@ -19,8 +18,8 @@ func testPrefilterCfg() serve.PrefilterConfig {
 	}
 }
 
-// TestPrefilterFramesRoundTrip: the v5 prefilter family must decode
-// back field-for-field, AuditPush with bit-identical samples.
+// TestPrefilterFramesRoundTrip: the prefilter family must decode back
+// field-for-field, AuditPush with bit-identical samples.
 func TestPrefilterFramesRoundTrip(t *testing.T) {
 	cfg := testPrefilterCfg()
 	m := decodeOne(t, encode(t, func(e *Encoder) error { return e.PrefilterDecl("chb01", cfg) }))
@@ -53,105 +52,8 @@ func TestPrefilterFramesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPrefilterVersionGate: every v5 frame must be refused with
-// ErrVersionGated against a v4 (or v3) peer, and nothing may reach the
-// wire — a v4 shardd would kill the connection on an unknown kind.
-func TestPrefilterVersionGate(t *testing.T) {
-	for _, v := range []uint32{3, 4} {
-		var buf bytes.Buffer
-		e := NewEncoder(&buf)
-		e.SetVersion(v)
-		steps := map[string]func() error{
-			"PrefilterDecl": func() error { return e.PrefilterDecl("p", testPrefilterCfg()) },
-			"PushDigest":    func() error { return e.PushDigest("p", serve.Digest{Windows: 1}) },
-			"AuditPush":     func() error { return e.AuditPush("p", []float64{1}, []float64{2}) },
-			"AuditRequest":  func() error { return e.AuditRequest("p") },
-		}
-		for name, fn := range steps {
-			if err := fn(); err != ErrVersionGated {
-				t.Fatalf("v%d %s err = %v, want ErrVersionGated", v, name, err)
-			}
-		}
-		e.Flush()
-		if buf.Len() != 0 {
-			t.Fatalf("v%d-pinned encoder leaked %d bytes of v5 frames", v, buf.Len())
-		}
-		if e.BytesWritten() != 0 {
-			t.Fatalf("v%d-pinned encoder counted %d bytes it never wrote", v, e.BytesWritten())
-		}
-	}
-}
-
-// TestStatsCrossVersionLayouts: Stats frames must cross in the layout
-// the negotiated version defines — v5 peers exchange the suppression
-// and audit counters, v4/v3 peers the pre-v5 layout with those fields
-// zero on arrival, in both cases with every other field intact.
-func TestStatsCrossVersionLayouts(t *testing.T) {
-	full := serve.Stats{
-		Sessions: 3, Batches: 100, Windows: 96, Alarms: 12,
-		WindowsSuppressed: 5000, AuditSamples: 40, AuditDisagreements: 2,
-		PrefilterDrift: 1, EventsDropped: 9, QueueDepth: 17,
-		Uptime: 90 * time.Second,
-	}
-	for _, v := range []uint32{3, 4, 5} {
-		var buf bytes.Buffer
-		e := NewEncoder(&buf)
-		e.SetVersion(v)
-		if err := e.Stats(7, full); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		d := NewDecoder(&buf)
-		d.SetVersion(v)
-		m, err := d.Next()
-		if err != nil {
-			t.Fatalf("v%d stats: %v", v, err)
-		}
-		want := full
-		if v < 5 {
-			want.WindowsSuppressed = 0
-			want.AuditSamples = 0
-			want.AuditDisagreements = 0
-			want.PrefilterDrift = 0
-		}
-		if m.Kind != KindStats || m.Token != 7 || m.Stats != want {
-			t.Fatalf("v%d stats = %+v, want %+v", v, m.Stats, want)
-		}
-	}
-}
-
-// TestStatsVersionMismatchRejected: a decoder pinned to the wrong
-// version must not silently misparse a Stats frame — the length checks
-// catch the layout difference.
-func TestStatsVersionMismatchRejected(t *testing.T) {
-	var buf bytes.Buffer
-	e := NewEncoder(&buf) // v5 layout
-	if err := e.Stats(7, serve.Stats{Sessions: 1}); err != nil {
-		t.Fatal(err)
-	}
-	e.Flush()
-	d := NewDecoder(bytes.NewReader(buf.Bytes()))
-	d.SetVersion(4) // expects the shorter layout
-	if _, err := d.Next(); err == nil {
-		t.Fatal("v4-pinned decoder accepted a v5 stats frame")
-	}
-
-	buf.Reset()
-	e = NewEncoder(&buf)
-	e.SetVersion(4)
-	if err := e.Stats(7, serve.Stats{Sessions: 1}); err != nil {
-		t.Fatal(err)
-	}
-	e.Flush()
-	if _, err := NewDecoder(bytes.NewReader(buf.Bytes())).Next(); err == nil {
-		t.Fatal("v5 decoder accepted a v4 stats frame")
-	}
-}
-
-// TestPrefilterTruncatedPayloadRejected: cut v5 frame bodies must
-// error, mirroring the PushQ truncation test.
+// TestPrefilterTruncatedPayloadRejected: cut prefilter frame bodies
+// must error, mirroring the PushQ truncation test.
 func TestPrefilterTruncatedPayloadRejected(t *testing.T) {
 	frames := [][]byte{
 		encode(t, func(e *Encoder) error { return e.PrefilterDecl("chb01", testPrefilterCfg()) }),

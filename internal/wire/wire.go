@@ -1,6 +1,6 @@
 // Package wire is the length-prefixed binary codec the cluster
 // transport speaks between a serving front end (internal/cluster.Router
-// inside cmd/serve -cluster) and shardd worker processes (cmd/shardd).
+// inside cmd/loadgen -cluster) and shardd worker processes (cmd/shardd).
 //
 // Every frame is a little-endian uint32 body length followed by the
 // body: one kind byte and a kind-specific payload. Payload scalars are
@@ -12,14 +12,15 @@
 // encoder must not shred it into garbage.
 //
 // The protocol is versioned by the Hello exchange: both sides send
-// KindHello carrying Version first and refuse a peer that disagrees,
+// KindHello carrying Version first and refuse a peer that disagrees —
+// an exact match, because every peer is built from the same source —
 // so field-order changes here only require bumping Version.
 //
-// Client → shard: Hello, Push, Confirm, StatsReq, Ping, ModelGet,
-// ModelPut (failover checkpoint transfer), PrefilterDecl, PushDigest,
-// AuditPush (edge prefilter, v5).
+// Client → shard: Hello, Push, PushQ, Confirm, StatsReq, Ping,
+// ModelGet, ModelPut (failover checkpoint transfer), PrefilterDecl,
+// PushDigest, AuditPush (edge prefilter).
 // Shard → client: Hello, Event, Stats, Pong, ModelPut (ModelGet reply),
-// ModelAnnounce, AuditRequest (v5).
+// ModelAnnounce, AuditRequest.
 // Shard → shard: Hello, ModelPut (checkpoint replication).
 package wire
 
@@ -36,36 +37,9 @@ import (
 )
 
 // Version is the protocol revision exchanged in Hello frames. Bump it
-// on any change to frame layout (including serve.Stats gaining fields).
-//
-// v2: Event frames carry the model Version; ModelGet / ModelPut /
-// ModelAnnounce frames added for checkpoint replication and warm
-// failover.
-//
-// v3: Event frames carry StreamTime (deterministic alarm time for
-// replay scoring); Stats frames carry QualityRejected (quality
-// prefilter refusals).
-//
-// v4: PushQ frames added — a quantized int16 sample batch used only
-// when the samples round-trip bitwise (ADC-grid data), at a quarter of
-// the float payload. v4 is additive: the Hello exchange negotiates the
-// effective version down to min(ours, peer's), so a v4 sender facing a
-// v3 peer simply keeps sending float Push frames.
-//
-// v5: the edge/cloud prefilter split — PrefilterDecl announces a
-// stream's client-side stage-1 gate, PushDigest summarizes suppressed
-// spans, AuditPush ships a sampled suppressed window at full rate for
-// shard-side stage-2 audit, and AuditRequest asks the client for such a
-// sample; Stats frames gain the suppression/audit counters. v5 is
-// additive like v4: a v5 peer facing v4 sends none of these (the
-// prefilter methods return ErrVersionGated) and Stats crosses in the v4
-// layout, negotiated by the same Hello min-version exchange.
+// on any change to frame layout (including serve.Stats gaining fields);
+// peers accept only an exact match, so there is one layout per kind.
 const Version = 5
-
-// MinVersion is the oldest peer protocol revision this build still
-// speaks. Everything since v3 is additive, so the negotiated effective
-// version is min(Version, peer's) and either side may be newer.
-const MinVersion = 3
 
 // MaxFrame bounds a frame body so a corrupt or hostile length prefix
 // cannot make the decoder allocate gigabytes. 16 MiB fits >500 s of
@@ -75,12 +49,6 @@ const MaxFrame = 16 << 20
 // ErrFrameTooLarge is returned by Decoder.Next for a frame whose
 // declared body exceeds MaxFrame.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
-
-// ErrVersionGated is returned by encoder methods for frames the
-// negotiated peer version cannot decode (the v5 prefilter family under
-// a v4 peer). Senders treat it as "this peer cannot use the feature" —
-// skip, don't fail the connection.
-var ErrVersionGated = errors.New("wire: frame kind not supported by negotiated version")
 
 // Kind discriminates frame bodies.
 type Kind uint8
@@ -120,7 +88,7 @@ const (
 	// at a model version, without the checkpoint payload — how routers
 	// keep their per-patient version tables current.
 	KindModelAnnounce
-	// KindPushQ (v4) carries one patient's sample batch quantized to
+	// KindPushQ carries one patient's sample batch quantized to
 	// uint16 steps on a per-channel affine grid: patient, then per
 	// channel an offset and power-of-two scale (float64 each), a uint32
 	// count, and count little-endian uint16 codes. The encoder emits it
@@ -129,24 +97,24 @@ const (
 	// and falls back to Push otherwise, so decoding is always lossless
 	// and decisions are identical to the float frame's.
 	KindPushQ
-	// KindPrefilterDecl (v5) announces a stream's client-side stage-1
+	// KindPrefilterDecl announces a stream's client-side stage-1
 	// prefilter at stream open: patient, then the gate's trigger factor
 	// (float64), baseline history length, proactive audit sampling
 	// period, and drift threshold (uint32 each). The shard arms its
 	// audit mirror from this declaration.
 	KindPrefilterDecl
-	// KindPushDigest (v5) summarizes a span of suppressed windows
+	// KindPushDigest summarizes a span of suppressed windows
 	// instead of their full samples: patient, window count (uint32),
 	// then the span's sum/min/max mean-absolute-amplitude (float64
 	// each) — ~40 bytes standing in for up to a minute of full-rate
 	// batches, the frame that delivers the 100–1000x uplink reduction.
 	KindPushDigest
-	// KindAuditPush (v5) ships one suppressed window at full rate for
+	// KindAuditPush ships one suppressed window at full rate for
 	// shard-side stage-2 audit replay: same layout as Push. The window
 	// stays suppressed (it is covered by the digest that precedes it);
 	// the shard only checks whether stage 2 agrees it was droppable.
 	KindAuditPush
-	// KindAuditRequest (v5) asks a prefiltering client to ship its next
+	// KindAuditRequest asks a prefiltering client to ship its next
 	// suppressed window as an AuditPush: patient. Sent by shards when a
 	// stream that declared no proactive sampling runs unaudited.
 	KindAuditRequest
@@ -215,27 +183,13 @@ type Msg struct {
 type Encoder struct {
 	w       *bufio.Writer
 	buf     []byte
-	version uint32   // negotiated peer version; gates v4+ frames
 	q0, q1  []uint16 // Push quantization scratch, reused per frame
 	written uint64   // total framed bytes (header + body), for uplink accounting
 }
 
-// NewEncoder returns an encoder framing onto w. Until SetVersion is
-// called after the Hello exchange, the encoder assumes a same-version
-// peer.
+// NewEncoder returns an encoder framing onto w.
 func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{w: bufio.NewWriterSize(w, 64<<10), version: Version}
-}
-
-// SetVersion records the negotiated protocol version — min(Version,
-// peer's Hello) — after the handshake. Frames newer than the peer
-// (PushQ under v3) are then silently replaced with their older
-// equivalents.
-func (e *Encoder) SetVersion(v uint32) {
-	if v > Version {
-		v = Version
-	}
-	e.version = v
+	return &Encoder{w: bufio.NewWriterSize(w, 64<<10)}
 }
 
 // Flush pushes buffered frames to the underlying writer.
@@ -329,36 +283,34 @@ func (e *Encoder) Hello() error {
 	return e.frame()
 }
 
-// Push writes one sample batch frame. Against a v4 peer it first tries
-// the quantized PushQ layout — emitted only when every sample in both
-// channels reconstructs bitwise from its uint16 code, so the receiver
-// always recovers the exact float64 stream and downstream decisions
-// cannot drift. Data that doesn't sit on an affine uint16 grid (or a v3
-// peer) gets the float frame, unchanged since v1.
+// Push writes one sample batch frame. It first tries the quantized
+// PushQ layout — emitted only when every sample in both channels
+// reconstructs bitwise from its uint16 code, so the receiver always
+// recovers the exact float64 stream and downstream decisions cannot
+// drift. Data that doesn't sit on an affine uint16 grid gets the float
+// Push frame.
 //
 //selflearn:hotpath
 func (e *Encoder) Push(patient string, c0, c1 []float64) error {
-	if e.version >= 4 {
-		if cap(e.q0) < len(c0) {
-			e.q0 = make([]uint16, len(c0))
-		}
-		if cap(e.q1) < len(c1) {
-			e.q1 = make([]uint16, len(c1))
-		}
-		o0, s0, ok := quantizeChannel(e.q0[:len(c0)], c0)
+	if cap(e.q0) < len(c0) {
+		e.q0 = make([]uint16, len(c0))
+	}
+	if cap(e.q1) < len(c1) {
+		e.q1 = make([]uint16, len(c1))
+	}
+	o0, s0, ok := quantizeChannel(e.q0[:len(c0)], c0)
+	if ok {
+		o1, s1, ok := quantizeChannel(e.q1[:len(c1)], c1)
 		if ok {
-			o1, s1, ok := quantizeChannel(e.q1[:len(c1)], c1)
-			if ok {
-				e.begin(KindPushQ)
-				e.appendString(patient)
-				e.appendF64(o0)
-				e.appendF64(s0)
-				e.appendU16s(e.q0[:len(c0)])
-				e.appendF64(o1)
-				e.appendF64(s1)
-				e.appendU16s(e.q1[:len(c1)])
-				return e.frame()
-			}
+			e.begin(KindPushQ)
+			e.appendString(patient)
+			e.appendF64(o0)
+			e.appendF64(s0)
+			e.appendU16s(e.q0[:len(c0)])
+			e.appendF64(o1)
+			e.appendF64(s1)
+			e.appendU16s(e.q1[:len(c1)])
+			return e.frame()
 		}
 	}
 	e.begin(KindPush)
@@ -448,12 +400,7 @@ func (e *Encoder) Event(ev serve.Event) error {
 }
 
 // PrefilterDecl writes a stream's stage-1 prefilter declaration.
-// Returns ErrVersionGated against a pre-v5 peer — the caller then
-// simply does not prefilter toward that peer.
 func (e *Encoder) PrefilterDecl(patient string, cfg serve.PrefilterConfig) error {
-	if e.version < 5 {
-		return ErrVersionGated
-	}
 	e.begin(KindPrefilterDecl)
 	e.appendString(patient)
 	e.appendF64(cfg.Gate.Factor)
@@ -463,14 +410,10 @@ func (e *Encoder) PrefilterDecl(patient string, cfg serve.PrefilterConfig) error
 	return e.frame()
 }
 
-// PushDigest writes one suppressed-span digest. Returns ErrVersionGated
-// against a pre-v5 peer.
+// PushDigest writes one suppressed-span digest.
 //
 //selflearn:hotpath
 func (e *Encoder) PushDigest(patient string, d serve.Digest) error {
-	if e.version < 5 {
-		return ErrVersionGated
-	}
 	e.begin(KindPushDigest)
 	e.appendString(patient)
 	e.appendU32(d.Windows)
@@ -482,14 +425,10 @@ func (e *Encoder) PushDigest(patient string, d serve.Digest) error {
 
 // AuditPush writes one audit-sampled suppressed window at full rate —
 // the Push layout under its own kind so the shard replays it through
-// stage 2 instead of the patient's live feature stream. Returns
-// ErrVersionGated against a pre-v5 peer.
+// stage 2 instead of the patient's live feature stream.
 //
 //selflearn:hotpath
 func (e *Encoder) AuditPush(patient string, c0, c1 []float64) error {
-	if e.version < 5 {
-		return ErrVersionGated
-	}
 	e.begin(KindAuditPush)
 	e.appendString(patient)
 	e.appendFloats(c0)
@@ -497,12 +436,8 @@ func (e *Encoder) AuditPush(patient string, c0, c1 []float64) error {
 	return e.frame()
 }
 
-// AuditRequest asks a prefiltering client for an audit sample. Returns
-// ErrVersionGated against a pre-v5 peer.
+// AuditRequest asks a prefiltering client for an audit sample.
 func (e *Encoder) AuditRequest(patient string) error {
-	if e.version < 5 {
-		return ErrVersionGated
-	}
 	e.begin(KindAuditRequest)
 	e.appendString(patient)
 	return e.frame()
@@ -547,9 +482,7 @@ func (e *Encoder) StatsReq(token uint64) error {
 
 // Stats writes a stats reply. Fields cross in serve.Stats declaration
 // order; adding a field there requires appending here, in decodeStats,
-// and bumping Version — with the new fields gated on the negotiated
-// version (and the decoder's SetVersion) so Stats frames keep crossing
-// to older peers in the layout they expect.
+// and bumping Version.
 func (e *Encoder) Stats(token uint64, st serve.Stats) error {
 	e.begin(KindStats)
 	e.appendU64(token)
@@ -572,12 +505,10 @@ func (e *Encoder) Stats(token uint64, st serve.Stats) error {
 	e.appendU64(st.StreamErrors)
 	e.appendI64(int64(st.ModelsCached))
 	e.appendU64(st.StoreErrors)
-	if e.version >= 5 {
-		e.appendU64(st.WindowsSuppressed)
-		e.appendU64(st.AuditSamples)
-		e.appendU64(st.AuditDisagreements)
-		e.appendU64(st.PrefilterDrift)
-	}
+	e.appendU64(st.WindowsSuppressed)
+	e.appendU64(st.AuditSamples)
+	e.appendU64(st.AuditDisagreements)
+	e.appendU64(st.PrefilterDrift)
 	e.appendU64(st.EventsDropped)
 	e.appendI64(int64(st.QueueDepth))
 	e.appendI64(int64(st.Uptime))
@@ -601,28 +532,13 @@ func (e *Encoder) Pong(token uint64) error {
 // Decoder reads frames from an internal bufio.Reader. Not safe for
 // concurrent use; each connection has exactly one read loop.
 type Decoder struct {
-	r       *bufio.Reader
-	buf     []byte
-	version uint32 // negotiated peer version; selects the Stats layout
+	r   *bufio.Reader
+	buf []byte
 }
 
-// NewDecoder returns a decoder framing off r. Until SetVersion is
-// called after the Hello exchange, the decoder assumes a same-version
-// peer.
+// NewDecoder returns a decoder framing off r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReaderSize(r, 64<<10), version: Version}
-}
-
-// SetVersion records the negotiated protocol version after the
-// handshake, mirroring Encoder.SetVersion: a v4 peer's Stats frames are
-// then decoded in the v4 layout (without the v5 suppression/audit
-// counters). Hello frames decode identically at every version, so the
-// handshake itself needs no prior SetVersion.
-func (d *Decoder) SetVersion(v uint32) {
-	if v > Version {
-		v = Version
-	}
-	d.version = v
+	return &Decoder{r: bufio.NewReaderSize(r, 64<<10)}
 }
 
 // Next reads and decodes one frame. io.EOF crosses through cleanly on
@@ -646,7 +562,7 @@ func (d *Decoder) Next() (Msg, error) {
 		}
 		return Msg{}, err
 	}
-	return parse(body, d.version)
+	return parse(body)
 }
 
 // reader is a bounds-checked cursor over one frame body: the first
@@ -754,7 +670,7 @@ func (r *reader) qfloats() []float64 {
 	return xs
 }
 
-func parse(body []byte, version uint32) (Msg, error) {
+func parse(body []byte) (Msg, error) {
 	r := &reader{b: body}
 	m := Msg{Kind: Kind(r.u8())}
 	switch m.Kind {
@@ -795,7 +711,7 @@ func parse(body []byte, version uint32) (Msg, error) {
 		m.ModelVersion = r.u64()
 	case KindStats:
 		m.Token = r.u64()
-		m.Stats = decodeStats(r, version)
+		m.Stats = decodeStats(r)
 	case KindPrefilterDecl:
 		m.Patient = r.str()
 		m.Prefilter.Gate.Factor = r.f64()
@@ -826,7 +742,7 @@ func parse(body []byte, version uint32) (Msg, error) {
 	return m, nil
 }
 
-func decodeStats(r *reader, version uint32) serve.Stats {
+func decodeStats(r *reader) serve.Stats {
 	var st serve.Stats
 	st.Sessions = int(r.i64())
 	st.StreamsOpen = int(r.i64())
@@ -847,12 +763,10 @@ func decodeStats(r *reader, version uint32) serve.Stats {
 	st.StreamErrors = r.u64()
 	st.ModelsCached = int(r.i64())
 	st.StoreErrors = r.u64()
-	if version >= 5 {
-		st.WindowsSuppressed = r.u64()
-		st.AuditSamples = r.u64()
-		st.AuditDisagreements = r.u64()
-		st.PrefilterDrift = r.u64()
-	}
+	st.WindowsSuppressed = r.u64()
+	st.AuditSamples = r.u64()
+	st.AuditDisagreements = r.u64()
+	st.PrefilterDrift = r.u64()
 	st.EventsDropped = r.u64()
 	st.QueueDepth = int(r.i64())
 	st.Uptime = time.Duration(r.i64())

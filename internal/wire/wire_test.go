@@ -64,8 +64,8 @@ func kindFrames() map[Kind]func(*Encoder) error {
 		// 1e-300 is off any uint16 grid spanning the channel, so this
 		// batch cannot quantize and the float layout is guaranteed.
 		KindPush: func(e *Encoder) error { return e.Push("chb01", []float64{1, 2.5, -3}, []float64{0, 1e-300, 9}) },
-		// Both channels sit on uint16 grids (integers; quarters), so a
-		// v4 encoder auto-selects the quantized layout.
+		// Both channels sit on uint16 grids (integers; quarters), so the
+		// encoder auto-selects the quantized layout.
 		KindPushQ: func(e *Encoder) error {
 			return e.Push("chb01", []float64{1, 2, 3}, []float64{0.25, 0.5, 0.75})
 		},
@@ -128,8 +128,9 @@ func TestRoundTripAllKinds(t *testing.T) {
 		Batches: 100, BatchesDropped: 2, BatchesShed: 7, Windows: 96,
 		WindowsPerSec: 31148.5, Alarms: 12, Confirms: 3, ConfirmsRejected: 1,
 		ConfirmsDropped: 1, Retrains: 3, RetrainErrors: 1, StreamErrors: 0,
-		ModelsCached: 3, StoreErrors: 2, EventsDropped: 9, QueueDepth: 17,
-		Uptime: 90 * time.Second,
+		ModelsCached: 3, StoreErrors: 2, WindowsSuppressed: 5000,
+		AuditSamples: 40, AuditDisagreements: 2, PrefilterDrift: 1,
+		EventsDropped: 9, QueueDepth: 17, Uptime: 90 * time.Second,
 	}
 	steps := []func() error{
 		e.Hello,
@@ -261,18 +262,11 @@ func TestModelPutPayloadOutlivesDecoderBuffer(t *testing.T) {
 }
 
 func TestEmptyBatchRoundTrips(t *testing.T) {
-	// Empty channels quantize trivially, so a v4 encoder frames them as
-	// PushQ; a v3-pinned encoder must still produce the float layout.
+	// Empty channels quantize trivially, so the encoder frames them as
+	// PushQ.
 	m := decodeOne(t, encode(t, func(e *Encoder) error { return e.Push("p", nil, nil) }))
 	if m.Kind != KindPushQ || len(m.C0) != 0 || len(m.C1) != 0 {
 		t.Fatalf("empty push = %+v", m)
-	}
-	m = decodeOne(t, encode(t, func(e *Encoder) error {
-		e.SetVersion(3)
-		return e.Push("p", nil, nil)
-	}))
-	if m.Kind != KindPush || len(m.C0) != 0 || len(m.C1) != 0 {
-		t.Fatalf("empty v3 push = %+v", m)
 	}
 }
 
