@@ -152,8 +152,8 @@ func (p *PSD) RelativeBandPower(b Band) float64 {
 // Workspace owns the reusable state of periodogram estimation at one
 // fixed signal length: the memoized taper table, its power correction,
 // and the FFT buffer. PeriodogramInto then estimates a PSD with zero
-// steady-state allocations. A Workspace is not safe for concurrent use;
-// give each streaming extractor its own.
+// steady-state allocations. A Workspace is not safe for concurrent use:
+// one per goroutine; a serving worker's sessions share one.
 type Workspace struct {
 	n      int
 	fs     float64

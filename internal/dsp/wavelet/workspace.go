@@ -7,7 +7,8 @@ import "fmt"
 // ping-pong approximation buffers, and a padding buffer. DecomposeInto
 // then runs a full DWT with zero steady-state allocations, producing
 // coefficients bit-identical to Decompose. A Workspace is not safe for
-// concurrent use; give each streaming extractor its own.
+// concurrent use: one per goroutine; a serving worker's sessions share
+// one.
 type Workspace struct {
 	w      Wavelet
 	lo, hi []float64

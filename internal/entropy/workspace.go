@@ -14,7 +14,7 @@ import (
 // entropy fast path. All methods produce results bit-identical to the
 // package-level functions while allocating nothing in steady state. The
 // zero value is ready to use; a Workspace is not safe for concurrent
-// use — give each streaming extractor its own.
+// use: one per goroutine; a serving worker's sessions share one.
 type Workspace struct {
 	counts map[uint64]int
 	cs     []int

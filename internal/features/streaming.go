@@ -2,7 +2,6 @@ package features
 
 import (
 	"errors"
-	"fmt"
 
 	"selflearn/internal/signal"
 )
@@ -12,9 +11,14 @@ import (
 // feed ring buffers of one analysis window (4 s); every hop (1 s) a
 // feature row is emitted. Feeding an entire recording through a Streamer
 // yields exactly the matrix Extract10 computes in batch.
+//
+// A Streamer owns only its per-stream state: the two sample rings and
+// their counters. Window linearization, feature extraction and the
+// emitted row live in the Workspace it was built from, so many
+// streamers (a serving worker's patients) can share one extractor's
+// scratch.
 type Streamer struct {
-	cfg        Config
-	fs         float64
+	ws         *Workspace
 	winSamples int
 	hopSamples int
 	buf0, buf1 []float64 // ring buffers, winSamples long
@@ -22,41 +26,30 @@ type Streamer struct {
 	filled     int       // samples buffered so far (caps at winSamples)
 	sinceEmit  int       // samples since the last emitted row
 	rows       int       // rows emitted
-	scratch0   []float64
-	scratch1   []float64
-	ws         *Workspace
-	row        []float64 // reused emission buffer, 10 wide
 }
 
-// NewStreamer builds a streaming extractor for sampling rate fs.
+// NewStreamer builds a streaming extractor for sampling rate fs on a
+// workspace of its own.
 func NewStreamer(fs float64, cfg Config) (*Streamer, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if fs <= 0 {
-		return nil, fmt.Errorf("features: invalid sampling rate %g", fs)
-	}
-	win := cfg.Window.SamplesPerWindow(fs)
-	hop := cfg.Window.HopSamples(fs)
-	if win <= 0 || hop <= 0 {
-		return nil, fmt.Errorf("features: degenerate window %d/%d at %g Hz", win, hop, fs)
-	}
 	ws, err := NewWorkspace(fs, cfg)
 	if err != nil {
 		return nil, err
 	}
+	return ws.NewStreamer(), nil
+}
+
+// NewStreamer builds a streaming extractor that borrows ws for every
+// window it emits. Streamers sharing a workspace must all run on one
+// goroutine, and a row any of them returns stays valid only until any
+// of them emits the next row.
+func (ws *Workspace) NewStreamer() *Streamer {
 	return &Streamer{
-		cfg:        cfg,
-		fs:         fs,
-		winSamples: win,
-		hopSamples: hop,
-		buf0:       make([]float64, win),
-		buf1:       make([]float64, win),
-		scratch0:   make([]float64, win),
-		scratch1:   make([]float64, win),
 		ws:         ws,
-		row:        make([]float64, 0, 10),
-	}, nil
+		winSamples: ws.win,
+		hopSamples: ws.cfg.Window.HopSamples(ws.fs),
+		buf0:       make([]float64, ws.win),
+		buf1:       make([]float64, ws.win),
+	}
 }
 
 // RowsEmitted returns how many feature rows have been produced.
@@ -70,16 +63,18 @@ func (s *Streamer) NumFeatures() int { return len(PaperFeatureNames()) }
 // window boundary is reached it returns the freshly computed feature row
 // and ready = true; otherwise row is nil.
 //
-// The returned row is the Streamer's reusable emission buffer: it is
-// valid until the next emitted row, and callers that retain rows must
-// copy them. Together with the Workspace underneath, this keeps the
-// steady-state push path completely allocation-free.
+// The returned row is the Workspace's reusable emission buffer: it is
+// valid until the next row emitted by any Streamer sharing that
+// workspace, and callers that retain rows must copy them. This keeps
+// the steady-state push path completely allocation-free.
 //
 //selflearn:hotpath
 func (s *Streamer) Push(v0, v1 float64) (row []float64, ready bool, err error) {
 	s.buf0[s.pos] = v0
 	s.buf1[s.pos] = v1
-	s.pos = (s.pos + 1) % s.winSamples
+	if s.pos++; s.pos == s.winSamples {
+		s.pos = 0
+	}
 	if s.filled < s.winSamples {
 		s.filled++
 		if s.filled == s.winSamples {
@@ -95,19 +90,20 @@ func (s *Streamer) Push(v0, v1 float64) (row []float64, ready bool, err error) {
 	return nil, false, nil
 }
 
-// emit linearizes the rings into scratch buffers and computes the row
-// into the reusable emission buffer.
+// emit linearizes the rings into the workspace's window buffers and
+// computes the row into its reusable emission buffer.
 func (s *Streamer) emit() ([]float64, bool, error) {
+	ws := s.ws
 	// Oldest sample sits at s.pos.
-	n := copy(s.scratch0, s.buf0[s.pos:])
-	copy(s.scratch0[n:], s.buf0[:s.pos])
-	n = copy(s.scratch1, s.buf1[s.pos:])
-	copy(s.scratch1[n:], s.buf1[:s.pos])
-	row, err := s.ws.Features10Into(s.row[:0], s.scratch0, s.scratch1)
+	n := copy(ws.lin0, s.buf0[s.pos:])
+	copy(ws.lin0[n:], s.buf0[:s.pos])
+	n = copy(ws.lin1, s.buf1[s.pos:])
+	copy(ws.lin1[n:], s.buf1[:s.pos])
+	row, err := ws.Features10Into(ws.row[:0], ws.lin0, ws.lin1)
 	if err != nil {
 		return nil, false, err
 	}
-	s.row = row
+	ws.row = row
 	s.sinceEmit = 0
 	s.rows++
 	return row, true, nil

@@ -124,3 +124,121 @@ func TestStreamRecordingErrors(t *testing.T) {
 		t.Error("2 s recording (shorter than a window) should fail")
 	}
 }
+
+// streamedRow is one emitted feature row, copied on emission, with the
+// number of samples its streamer had consumed when it emitted.
+type streamedRow struct {
+	at  int
+	row []float64
+}
+
+// TestSharedWorkspaceMatchesPrivateStreamers drives nine streamers on
+// one Workspace — distinct recordings, pushed in chunks of varying
+// length, interleaved round-robin, one of them Reset mid-stream — and
+// checks every row bit for bit, at the same sample index, against a
+// streamer with a workspace of its own fed the same samples.
+func TestSharedWorkspaceMatchesPrivateStreamers(t *testing.T) {
+	const (
+		streams = 9
+		reset   = 4    // the streamer Reset mid-stream
+		resetAt = 5000 // samples it has consumed when Reset
+	)
+	cfg := DefaultConfig()
+	recs := make([][2][]float64, streams)
+	var fs float64
+	for i := range recs {
+		rc := synth.RecordConfig{
+			PatientID:  "shared",
+			RecordID:   "ws",
+			Seed:       int64(100 + i),
+			Duration:   float64(16 + 2*i),
+			Background: synth.DefaultBackground(),
+		}
+		if i%3 == 0 {
+			rc.Seizures = []synth.SeizureEvent{{Start: 5, Duration: 8, Config: synth.DefaultSeizure()}}
+		}
+		rec, err := synth.Generate(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs = rec.SampleRate
+		recs[i] = [2][]float64{rec.Data[0], rec.Data[1]}
+	}
+
+	// Reference: each recording alone, sample by sample, on a private
+	// workspace, Reset at the same sample index.
+	want := make([][]streamedRow, streams)
+	for i, rec := range recs {
+		st, err := NewStreamer(fs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range rec[0] {
+			if i == reset && k == resetAt {
+				st.Reset()
+			}
+			row, ready, err := st.Push(rec[0][k], rec[1][k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ready {
+				want[i] = append(want[i], streamedRow{k + 1, append([]float64(nil), row...)})
+			}
+		}
+	}
+
+	ws, err := NewWorkspace(fs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := make([]*Streamer, streams)
+	for i := range shared {
+		shared[i] = ws.NewStreamer()
+	}
+	chunks := []int{1, 255, 256, 257, 1000, 3, 700, 2048, 64}
+	got := make([][]streamedRow, streams)
+	pos := make([]int, streams)
+	for round, active := 0, streams; active > 0; round++ {
+		active = 0
+		for i, st := range shared {
+			rec := recs[i]
+			end := min(pos[i]+chunks[(round+i)%len(chunks)], len(rec[0]))
+			if i == reset && pos[i] < resetAt && end > resetAt {
+				end = resetAt
+			}
+			for k := pos[i]; k < end; k++ {
+				row, ready, err := st.Push(rec[0][k], rec[1][k])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ready {
+					got[i] = append(got[i], streamedRow{k + 1, append([]float64(nil), row...)})
+				}
+			}
+			pos[i] = end
+			if i == reset && end == resetAt {
+				st.Reset()
+			}
+			if end < len(rec[0]) {
+				active++
+			}
+		}
+	}
+
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("stream %d: shared workspace emitted %d rows, private %d", i, len(got[i]), len(want[i]))
+		}
+		for r, w := range want[i] {
+			g := got[i][r]
+			if g.at != w.at {
+				t.Fatalf("stream %d row %d: emitted at sample %d, private at %d", i, r, g.at, w.at)
+			}
+			for f := range w.row {
+				if math.Float64bits(g.row[f]) != math.Float64bits(w.row[f]) {
+					t.Fatalf("stream %d row %d feature %d: shared %v vs private %v", i, r, f, g.row[f], w.row[f])
+				}
+			}
+		}
+	}
+}

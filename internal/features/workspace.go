@@ -16,13 +16,16 @@ import (
 // wavelet workspace (analysis filters + ping-pong decomposition
 // buffers, including the PadPow2 copy), reusable decompositions, and
 // the entropy scratch (ordinal tally, histogram, sorted-template
-// index). After the first window it allocates nothing — the Go
-// equivalent of the wearable firmware's fixed preallocated memory map —
-// which is what keeps the serving hot path (features.Streamer →
-// forest.FlatForest) allocation-free in steady state.
+// index), plus the window linearization buffers and emission row of
+// the Streamers built on it. After the first window it allocates
+// nothing — the Go equivalent of the wearable firmware's fixed
+// preallocated memory map — which is what keeps the serving hot path
+// (features.Streamer → forest.FlatForest) allocation-free in steady
+// state.
 //
 // A Workspace is bound to one sampling rate and window length and is
-// not safe for concurrent use; give each stream its own.
+// not safe for concurrent use: one per goroutine; a serving worker's
+// sessions share one.
 type Workspace struct {
 	fs  float64
 	cfg Config
@@ -39,6 +42,9 @@ type Workspace struct {
 	ent entropy.Workspace
 
 	d1, d2 []float64 // Hjorth derivative scratch
+
+	lin0, lin1 []float64 // streamer rings linearized oldest-first, win long
+	row        []float64 // streamers' reused emission buffer, 10 wide
 }
 
 // NewWorkspace builds a feature-extraction workspace for sampling rate
@@ -65,6 +71,9 @@ func NewWorkspace(fs float64, cfg Config) (*Workspace, error) {
 		win:  win,
 		spec: spec,
 		wl:   cfg.Wavelet.NewWorkspace(),
+		lin0: make([]float64, win),
+		lin1: make([]float64, win),
+		row:  make([]float64, 0, 10),
 	}, nil
 }
 

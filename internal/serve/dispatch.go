@@ -1,6 +1,9 @@
 package serve
 
-import "selflearn/internal/ml/forest"
+import (
+	"selflearn/internal/features"
+	"selflearn/internal/ml/forest"
+)
 
 // localTransport is the in-process ShardTransport: the goroutine worker
 // pool the server was born with, now behind the same seam a cluster of
@@ -13,12 +16,22 @@ type localTransport struct {
 	workers []*worker
 }
 
-func newLocalTransport(s *Server, historyRows int) *localTransport {
+// newLocalTransport builds every worker, each with its own feature
+// workspace, before starting any of them, so a workspace that cannot be
+// built fails New without leaving goroutines behind.
+func newLocalTransport(s *Server, historyRows int) (*localTransport, error) {
 	t := &localTransport{workers: make([]*worker, s.cfg.Workers)}
 	for i := range t.workers {
-		t.workers[i] = newWorker(s, i, historyRows)
+		ws, err := features.NewWorkspace(s.cfg.SampleRate, s.cfg.FeatureCfg)
+		if err != nil {
+			return nil, err
+		}
+		t.workers[i] = newWorker(s, i, ws)
 	}
-	return t
+	for _, w := range t.workers {
+		go w.run(historyRows)
+	}
+	return t, nil
 }
 
 // Shard implements ShardTransport; local resolution cannot fail.
@@ -48,21 +61,27 @@ func (t *localTransport) Close() {
 }
 
 // worker owns a shard of patients: their sessions, the LRU session
-// table, and the goroutine that processes their jobs strictly in
-// arrival order. It implements Shard by delegating to its queue.
+// table, the goroutine that processes their jobs strictly in arrival
+// order, and the one feature workspace every session (and prefilter
+// audit) of the shard extracts on, so each window's FFT, DWT and entropy
+// scratch stays warm in this goroutine's cache. It implements Shard by
+// delegating to its queue.
 type worker struct {
 	srv      *Server
 	index    int
 	queue    *Queue
 	done     chan struct{}
 	sessions *lru[*session]
+	ws       *features.Workspace
 }
 
-func newWorker(s *Server, index, historyRows int) *worker {
+// newWorker builds a worker on workspace ws; the caller starts run.
+func newWorker(s *Server, index int, ws *features.Workspace) *worker {
 	w := &worker{
 		srv:   s,
 		index: index,
 		done:  make(chan struct{}),
+		ws:    ws,
 	}
 	w.queue = NewQueue(s.cfg.QueueDepth, QueueHooks{
 		Shed: func(j Job) {
@@ -79,7 +98,6 @@ func newWorker(s *Server, index, historyRows int) *worker {
 		s.sessionsEvicted.Add(1)
 		s.hub.emit(Event{Kind: EventEviction, Patient: id})
 	})
-	go w.run(historyRows)
 	return w
 }
 
@@ -363,10 +381,10 @@ func (w *worker) admitPrefilter(j Job, historyRows int) {
 		return
 	}
 	if j.Declare != nil {
-		audit, err := newPrefilterAudit(*j.Declare, w.srv.cfg)
+		audit, err := newPrefilterAudit(*j.Declare, w.ws)
 		if err != nil {
 			// Stream.DeclarePrefilter validates before enqueueing, so
-			// only a feature-pipeline failure lands here; surface it.
+			// this should be unreachable; surface it rather than crash.
 			w.srv.streamErrors.Add(1)
 			return
 		}
@@ -422,7 +440,7 @@ func (w *worker) session(patientID string, historyRows int) (*session, error) {
 	if sess, ok := w.sessions.Get(patientID); ok {
 		return sess, nil
 	}
-	sess, err := newSession(patientID, historyRows, w.srv.cfg)
+	sess, err := newSession(patientID, historyRows, w.srv.cfg, w.ws)
 	if err != nil {
 		return nil, err
 	}

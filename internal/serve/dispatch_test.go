@@ -33,6 +33,7 @@ func drainWorker(t *testing.T) (*worker, *Server) {
 		srv:      srv,
 		queue:    NewQueue(8, QueueHooks{}),
 		sessions: newLRU[*session](64, func(string, *session) {}),
+		ws:       testWorkspace(t, srv.cfg),
 	}
 	return w, srv
 }

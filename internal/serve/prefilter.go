@@ -241,10 +241,12 @@ type prefilterAudit struct {
 	cfg    PrefilterConfig
 	mirror *rt.AmplitudeGate
 	// streamer rebuilds feature windows from audit-sampled seconds so
-	// stage 2 can score what stage 1 dropped. Sampled seconds are
-	// treated as contiguous — a deterministic surrogate stream; a
-	// mis-tuned gate suppressing a real seizure yields consecutive
-	// ictal samples here, which is exactly what stage 2 flags.
+	// stage 2 can score what stage 1 dropped; it extracts on the
+	// worker's workspace, like the session's own streamer. Sampled
+	// seconds are treated as contiguous — a deterministic surrogate
+	// stream; a mis-tuned gate suppressing a real seizure yields
+	// consecutive ictal samples here, which is exactly what stage 2
+	// flags.
 	streamer *features.Streamer
 	rowView  [1][]float64
 	predView [1]bool
@@ -257,8 +259,9 @@ type prefilterAudit struct {
 	requested  bool
 }
 
-// newPrefilterAudit builds the audit state for one declared stream.
-func newPrefilterAudit(cfg PrefilterConfig, serverCfg Config) (*prefilterAudit, error) {
+// newPrefilterAudit builds the audit state for one declared stream on
+// ws, the feature workspace of the worker that owns the session.
+func newPrefilterAudit(cfg PrefilterConfig, ws *features.Workspace) (*prefilterAudit, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -266,11 +269,7 @@ func newPrefilterAudit(cfg PrefilterConfig, serverCfg Config) (*prefilterAudit, 
 	if err != nil {
 		return nil, err
 	}
-	st, err := features.NewStreamer(serverCfg.SampleRate, serverCfg.FeatureCfg)
-	if err != nil {
-		return nil, err
-	}
-	return &prefilterAudit{cfg: cfg, mirror: mirror, streamer: st}, nil
+	return &prefilterAudit{cfg: cfg, mirror: mirror, streamer: ws.NewStreamer()}, nil
 }
 
 // observeShipped feeds the mirror one shipped batch's amplitude,

@@ -295,7 +295,12 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 	s.hub = newEventHub(so.eventBuffer, so.sink)
 	s.cache = newModelCache(cfg.ModelCacheSize, so.store, func(error) { s.storeErrors.Add(1) })
 	s.learner = newLearner(s, cfg.Learners, cfg.LearnerQueue)
-	s.transport = newLocalTransport(s, historyRows)
+	t, err := newLocalTransport(s, historyRows)
+	if err != nil {
+		s.learner.close()
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	s.transport = t
 	return s, nil
 }
 

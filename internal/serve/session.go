@@ -10,32 +10,36 @@ import (
 	"selflearn/internal/rt"
 )
 
-// session is the server-side state of one patient's streaming loop: the
-// sample-by-sample feature extractor, the hot-swappable window
-// classifier, the alarm layer, and the rolling feature history the
-// a-posteriori labeler consumes when the patient confirms a seizure.
-// All fields except model are confined to the owning worker goroutine;
-// model is an atomic pointer because the background learner installs
-// retrained forests into live sessions.
+// session is the server-side state of one patient's streaming loop,
+// and only the per-patient part of it: the streamer's two sample rings,
+// the hot-swappable window classifier, the alarm layer, and the rolling
+// feature history the a-posteriori labeler consumes when the patient
+// confirms a seizure. Feature extraction scratch is the owning worker's
+// features.Workspace, which all of its sessions borrow. All fields
+// except model are confined to the owning worker goroutine; model is an
+// atomic pointer because the background learner installs retrained
+// forests into live sessions.
 //
 // The steady-state batch path (ingest → classify) allocates nothing:
-// the streamer reuses its emission buffer, emitted rows are copied into
-// one flat preallocated history backing, and classification runs the
-// flat forest into a reused prediction buffer.
+// the workspace reuses its emission buffer, emitted rows are copied
+// into the preallocated history ring, and classification runs the flat
+// forest into a reused prediction buffer.
 type session struct {
 	id       string
 	streamer *features.Streamer
 	alarm    *rt.Detector
 	model    atomic.Pointer[forest.FlatForest]
 
-	// history is a ring of the most recent feature rows (one per hop,
-	// i.e. one per second in the paper's configuration), the streaming
-	// equivalent of the wearable's "buffered last hour". Each slot is a
-	// fixed view into histBuf; rows are copied in on emission, so the
-	// ring owns its data and the streamer's buffer can be reused.
-	history [][]float64
-	histPos int
-	histLen int
+	// hist is a ring of the most recent feature rows (one per hop, i.e.
+	// one per second in the paper's configuration), the streaming
+	// equivalent of the wearable's "buffered last hour": slot i is
+	// hist[i*nf:(i+1)*nf]. Rows are copied in on emission, so the ring
+	// owns its data and the workspace's emission buffer can be reused.
+	hist     []float64
+	nf       int // feature row width, one slot
+	histRows int // slots in the ring
+	histPos  int // next slot to write
+	histLen  int // slots filled so far (caps at histRows)
 
 	// rowsScratch collects the slot views of the rows a batch completed;
 	// predScratch is the matching classification buffer; alarmScratch
@@ -71,31 +75,27 @@ type nopClassifier struct{}
 
 func (nopClassifier) Predict([]float64) bool { return false }
 
-func newSession(id string, historyRows int, cfg Config) (*session, error) {
+// newSession builds a patient's session on ws, the feature workspace
+// of the worker that owns it.
+func newSession(id string, historyRows int, cfg Config, ws *features.Workspace) (*session, error) {
 	if historyRows < 1 {
 		// Server.New validates this from Config.History; guard here too
 		// because remember() indexes the ring unconditionally.
 		return nil, fmt.Errorf("serve: session needs at least one history row, got %d", historyRows)
 	}
-	st, err := features.NewStreamer(cfg.SampleRate, cfg.FeatureCfg)
-	if err != nil {
-		return nil, err
-	}
 	det, err := rt.NewDetector(nopClassifier{}, cfg.AlarmCfg)
 	if err != nil {
 		return nil, err
 	}
+	st := ws.NewStreamer()
 	nf := st.NumFeatures()
-	histBuf := make([]float64, historyRows*nf)
-	history := make([][]float64, historyRows)
-	for i := range history {
-		history[i] = histBuf[i*nf : (i+1)*nf : (i+1)*nf]
-	}
 	return &session{
 		id:       id,
 		streamer: st,
 		alarm:    det,
-		history:  history,
+		hist:     make([]float64, historyRows*nf),
+		nf:       nf,
+		histRows: historyRows,
 	}, nil
 }
 
@@ -114,18 +114,19 @@ func (s *session) ingest(c0, c1 []float64) ([][]float64, error) {
 			return rows, err
 		}
 		if ready {
-			// Copy immediately: the streamer reuses its emission buffer,
-			// so the row must land in its ring slot before the next Push.
-			if len(row) != len(s.history[s.histPos]) {
+			// Copy immediately: the workspace reuses its emission buffer,
+			// so the row must land in its ring slot before any session of
+			// this worker pushes again.
+			if len(row) != s.nf {
 				// Slot width is derived from the streamer at construction;
 				// a mismatch means the extractor changed shape mid-stream —
 				// fail loudly rather than silently truncate the history
 				// the learner trains on.
 				s.rowsScratch = rows
 				return rows, fmt.Errorf("serve: feature row width %d does not match history slot width %d",
-					len(row), len(s.history[s.histPos]))
+					len(row), s.nf)
 			}
-			if n := len(s.history); len(rows) >= n {
+			if n := s.histRows; len(rows) >= n {
 				// A batch longer than the whole history ring: remember is
 				// about to recycle the slot handed out n rows ago, so give
 				// that row its own copy first. Pathological (one Push
@@ -141,14 +142,22 @@ func (s *session) ingest(c0, c1 []float64) ([][]float64, error) {
 	return rows, nil
 }
 
+// slot returns ring slot i as a capacity-capped view, so an append to a
+// handed-out row can never spill into the next slot.
+func (s *session) slot(i int) []float64 {
+	return s.hist[i*s.nf : (i+1)*s.nf : (i+1)*s.nf]
+}
+
 // remember copies one feature row into the rolling history ring and
 // returns the slot view, which stays valid until the ring wraps past it
 // (History duration later — far beyond the enclosing batch).
 func (s *session) remember(row []float64) []float64 {
-	slot := s.history[s.histPos]
+	slot := s.slot(s.histPos)
 	copy(slot, row)
-	s.histPos = (s.histPos + 1) % len(s.history)
-	if s.histLen < len(s.history) {
+	if s.histPos++; s.histPos == s.histRows {
+		s.histPos = 0
+	}
+	if s.histLen < s.histRows {
 		s.histLen++
 	}
 	return slot
@@ -159,10 +168,9 @@ func (s *session) remember(row []float64) []float64 {
 // learner goroutine while the worker keeps overwriting ring slots.
 func (s *session) historySnapshot() [][]float64 {
 	out := make([][]float64, 0, s.histLen)
-	start := s.histPos - s.histLen
+	start := s.histPos - s.histLen + s.histRows
 	for i := 0; i < s.histLen; i++ {
-		slot := s.history[((start+i)%len(s.history)+len(s.history))%len(s.history)]
-		out = append(out, append([]float64(nil), slot...))
+		out = append(out, append([]float64(nil), s.slot((start+i)%s.histRows)...))
 	}
 	return out
 }

@@ -1,12 +1,26 @@
 package serve
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
+	"selflearn/internal/features"
 	"selflearn/internal/ml/forest"
 	"selflearn/internal/rt"
+	"selflearn/internal/synth"
 )
+
+// testWorkspace builds the feature workspace a worker would own for cfg.
+func testWorkspace(tb testing.TB, cfg Config) *features.Workspace {
+	tb.Helper()
+	ws, err := features.NewWorkspace(cfg.SampleRate, cfg.FeatureCfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ws
+}
 
 // benchSession builds a worker-confined session the way a shard does,
 // with an alarm config strict enough that background EEG never fires
@@ -25,7 +39,7 @@ func benchSession(tb testing.TB, historyRows int) (*session, Config) {
 			Hop:          time.Second,
 		},
 	}.withDefaults()
-	sess, err := newSession("alloc-guard", historyRows, cfg)
+	sess, err := newSession("alloc-guard", historyRows, cfg, testWorkspace(tb, cfg))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -97,7 +111,7 @@ func TestSessionBatchPathZeroAlloc(t *testing.T) {
 // entries get private copies.
 func TestSessionBatchLongerThanHistoryRing(t *testing.T) {
 	cfg := Config{Workers: 1, SampleRate: testRate, History: 6 * time.Second}.withDefaults()
-	sess, err := newSession("wrap", 6, cfg) // 6-slot ring
+	sess, err := newSession("wrap", 6, cfg, testWorkspace(t, cfg)) // 6-slot ring
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +124,7 @@ func TestSessionBatchLongerThanHistoryRing(t *testing.T) {
 		t.Fatalf("want more rows than ring slots, got %d", len(rows))
 	}
 	// Reference: the same recording through a fresh streamer.
-	ref, err := newSession("ref", len(rows), cfg)
+	ref, err := newSession("ref", len(rows), cfg, testWorkspace(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,5 +175,64 @@ func TestSessionHistorySurvivesStreamerReuse(t *testing.T) {
 		if snap[0][f] != v {
 			t.Fatalf("history snapshot row 0 feature %d changed under streaming", f)
 		}
+	}
+}
+
+// TestSessionFootprint guards the heap one live session holds at the
+// paper's operating point (256 Hz, one hour of history): the buffered
+// hour of feature rows, the two 4 s sample rings, and at most 16 KiB
+// besides — feature extraction scratch belongs to the worker, not the
+// session. Two rounds of 64 streams are measured and differenced, so
+// per-server costs cancel.
+func TestSessionFootprint(t *testing.T) {
+	const (
+		rate    = 256
+		round   = 64
+		seconds = 5
+		windows = seconds - 4 + 1 // 4 s windows on a 1 s hop
+	)
+	srv, err := New(Config{Workers: 1, SampleRate: rate, History: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rec, err := synth.Generate(synth.RecordConfig{
+		PatientID: "footprint", RecordID: "r1", Seed: 21, Duration: seconds,
+		SampleRate: rate, Background: synth.DefaultBackground(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles := make([]*Stream, 0, 2*round)
+	heapAfterRound := func() int64 {
+		for i := 0; i < round; i++ {
+			h := open(t, srv, fmt.Sprintf("footprint-%03d", len(handles)))
+			stream(t, h, rec)
+			handles = append(handles, h)
+		}
+		want := uint64(len(handles) * windows)
+		deadline := time.Now().Add(time.Minute)
+		for srv.Snapshot().Windows < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("windows stuck at %d, want %d", srv.Snapshot().Windows, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	first := heapAfterRound()
+	perSession := (heapAfterRound() - first) / round
+	const (
+		history = 3600 * 10 * 8 // one hour of 10-feature rows
+		rings   = 2 * 1024 * 8  // two 4 s channel windows at 256 Hz
+		slack   = 16 << 10
+	)
+	t.Logf("heap per session: %d B", perSession)
+	if perSession > history+rings+slack {
+		t.Fatalf("a session holds %d B of heap, want at most %d B (history %d + rings %d + %d)",
+			perSession, history+rings+slack, history, rings, slack)
 	}
 }
