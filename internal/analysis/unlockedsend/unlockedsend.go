@@ -1,5 +1,5 @@
 // Package unlockedsend flags channel sends, func-value callbacks, and
-// module-interface calls (ShardTransport, Shard, event sinks, stores)
+// module-interface calls (Shard, event sinks, stores)
 // made while a sync.Mutex or sync.RWMutex is held — the event-hub and
 // model-cache deadlock class: a callback that re-enters the locking
 // component, or a send that blocks with the lock pinned, wedges every
@@ -23,7 +23,7 @@ Tracks mu.Lock()/mu.RLock() ... mu.Unlock() regions (including the
 defer Unlock idiom) through straight-line and branching code, and flags
 inside them: channel send statements, calls of func-typed values
 (onEvict, sinks, hooks), and method calls through interfaces declared
-in this module (ShardTransport, Shard, ModelStore, ...). Calls to
+in this module (Shard, ModelStore, ...). Calls to
 functions that transitively perform one of those operations are flagged
 too — same-package via a fixpoint over function summaries, cross-package
 via exported package facts. Deliberate patterns (a non-blocking select

@@ -1,7 +1,8 @@
 // Package cluster is the cross-process serving transport: it runs the
 // multi-patient workload of internal/serve across N shardd worker
-// processes instead of N goroutines, behind the same ShardTransport
-// seam the in-process worker pool implements.
+// processes instead of N goroutines. Its streams enqueue through the
+// same serve.Shard seam, serve.Queue and admission policies as the
+// in-process worker pool.
 //
 // The Router owns one connection per shardd address. Patients map to
 // backends by rendezvous (highest-random-weight) hashing over the
@@ -48,8 +49,8 @@ type Options struct {
 	// QueueDepth bounds each shard's outbound queue (default 256) — the
 	// queue the admission policy governs, exactly like a worker queue.
 	QueueDepth int
-	// Admission is the default policy on full outbound queues
-	// (default serve.DropOnFull()). Streams may override per handle.
+	// Admission is the policy on full outbound queues (default
+	// serve.DropOnFull()). Every stream of the router uses it.
 	Admission serve.AdmissionPolicy
 	// DialTimeout bounds one connection attempt (default 3 s).
 	DialTimeout time.Duration
@@ -132,10 +133,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Router is the client side of cluster mode: it implements
-// serve.ShardTransport over TCP connections to shardd processes and
-// offers the same Open/Events/Snapshot/Close surface as a local
-// serve.Server, so a replay harness drives either interchangeably.
+// Router is the client side of cluster mode: it routes patients to
+// shards over TCP connections to shardd processes and offers the same
+// Open/Events/Snapshot/Close surface as a local serve.Server, so a
+// replay harness drives either interchangeably.
 type Router struct {
 	opts   Options
 	shards []*shardConn
@@ -283,13 +284,8 @@ func (r *Router) pick(patient string) (*shardConn, error) {
 	return best, nil
 }
 
-// Shard implements serve.ShardTransport.
-func (r *Router) Shard(patientID string) (serve.Shard, error) {
-	return r.pick(patientID)
-}
-
-// Depth implements serve.ShardTransport: jobs waiting in outbound
-// queues on this client (remote queue depths appear in Snapshot).
+// Depth returns the jobs waiting in outbound queues on this client
+// (remote queue depths appear in Snapshot).
 func (r *Router) Depth() int {
 	depth := 0
 	for _, sc := range r.shards {
@@ -495,8 +491,8 @@ func (r *Router) UplinkBytes() uint64 {
 	return n
 }
 
-// Close implements serve.ShardTransport: tears down every connection,
-// discards queued jobs (counted), and closes the merged event channel.
+// Close tears down every connection, discards queued jobs (counted),
+// and closes the merged event channel.
 // Open and Push fail with serve.ErrClosed afterwards. Idempotent.
 func (r *Router) Close() {
 	r.mu.Lock()

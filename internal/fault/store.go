@@ -20,18 +20,17 @@ var ErrStoreFault = errors.New("fault: injected store error")
 // FileStore's quarantine path exists for. Rules match on the store's
 // label.
 type Store struct {
-	inner serve.VersionedStore
+	inner serve.ModelStore
 	file  *serve.FileStore // non-nil when inner is a FileStore (torn writes possible)
 	inj   *Injector
 	label string
 }
 
-var _ serve.VersionedStore = (*Store)(nil)
+var _ serve.ModelStore = (*Store)(nil)
 
-// NewStore wraps inner under inj; rules match on label. The wrapper is
-// versioned regardless of inner (via serve.AsVersioned).
+// NewStore wraps inner under inj; rules match on label.
 func NewStore(inner serve.ModelStore, inj *Injector, label string) *Store {
-	s := &Store{inner: serve.AsVersioned(inner), inj: inj, label: label}
+	s := &Store{inner: inner, inj: inj, label: label}
 	if fs, ok := inner.(*serve.FileStore); ok {
 		s.file = fs
 	}
@@ -44,24 +43,12 @@ func (s *Store) delay() {
 	}
 }
 
-func (s *Store) Load(patientID string) (*forest.FlatForest, error) {
-	s.delay()
-	if _, ok := s.inj.Active(s.label, KindStoreLoadErr); ok {
-		return nil, fmt.Errorf("%w: load %s", ErrStoreFault, patientID)
-	}
-	return s.inner.Load(patientID)
-}
-
 func (s *Store) LoadVersion(patientID string) (*forest.FlatForest, uint64, error) {
 	s.delay()
 	if _, ok := s.inj.Active(s.label, KindStoreLoadErr); ok {
 		return nil, 0, fmt.Errorf("%w: load %s", ErrStoreFault, patientID)
 	}
 	return s.inner.LoadVersion(patientID)
-}
-
-func (s *Store) Save(patientID string, f *forest.FlatForest) error {
-	return s.SaveVersion(patientID, f, 0)
 }
 
 func (s *Store) SaveVersion(patientID string, f *forest.FlatForest, version uint64) error {

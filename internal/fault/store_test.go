@@ -82,42 +82,34 @@ func TestStoreSaveLoadErrWindows(t *testing.T) {
 	st := NewStore(fs, inj, "store")
 	f := tinyFlat(t)
 
-	if err := st.Save("p1", f); !errors.Is(err, ErrStoreFault) {
+	if err := st.SaveVersion("p1", f, 0); !errors.Is(err, ErrStoreFault) {
 		t.Fatalf("save in an error window = %v, want ErrStoreFault", err)
 	}
-	if _, err := st.Load("p1"); !errors.Is(err, ErrStoreFault) {
+	if _, _, err := st.LoadVersion("p1"); !errors.Is(err, ErrStoreFault) {
 		t.Fatalf("load in an error window = %v, want ErrStoreFault", err)
 	}
 	// A different label is untouched by the windows.
 	other := NewStore(fs, inj, "other-store")
-	if err := other.Save("p2", f); err != nil {
+	if err := other.SaveVersion("p2", f, 0); err != nil {
 		t.Fatalf("save through an unmatched label = %v", err)
 	}
 
 	clk.advance(2 * time.Second)
-	if err := st.Save("p1", f); err != nil {
+	if err := st.SaveVersion("p1", f, 0); err != nil {
 		t.Fatalf("save after the window = %v", err)
 	}
-	if m, err := st.Load("p1"); err != nil || m == nil {
+	if m, _, err := st.LoadVersion("p1"); err != nil || m == nil {
 		t.Fatalf("load after the window = (%v, %v)", m, err)
 	}
 }
 
-// memStore is a minimal unversioned store: torn writes have no file to
+// TestStoreTornWriteDegradesWithoutFile: a MemoryStore has no file to
 // tear, so the fault must degrade to a save error, not pass silently.
-type memStore struct{ m map[string]*forest.FlatForest }
-
-func (s *memStore) Load(id string) (*forest.FlatForest, error) { return s.m[id], nil }
-func (s *memStore) Save(id string, f *forest.FlatForest) error {
-	s.m[id] = f
-	return nil
-}
-
 func TestStoreTornWriteDegradesWithoutFile(t *testing.T) {
 	inj, _ := armed(t, &Plan{Seed: 1, Rules: []Rule{
 		{Peer: "store", Kind: KindTornWrite, Start: 0, Duration: 1},
 	}})
-	st := NewStore(&memStore{m: map[string]*forest.FlatForest{}}, inj, "store")
+	st := NewStore(serve.NewMemoryStore(), inj, "store")
 	if err := st.SaveVersion("p1", tinyFlat(t), 1); !errors.Is(err, ErrStoreFault) {
 		t.Fatalf("torn save on a fileless store = %v, want ErrStoreFault", err)
 	}
@@ -133,7 +125,7 @@ func TestStoreLatency(t *testing.T) {
 	}})
 	st := NewStore(fs, inj, "store")
 	start := time.Now()
-	if _, err := st.Load("p1"); err != nil {
+	if _, _, err := st.LoadVersion("p1"); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 35*time.Millisecond {

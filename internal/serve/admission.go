@@ -4,8 +4,8 @@ import "time"
 
 // AdmissionPolicy decides what happens when a shard queue is full. The
 // zero-configuration default is DropOnFull — the wearable gateway owns
-// the retry. Policies are picked per server (WithAdmission), per stream
-// (WithStreamAdmission), or per cluster client; the set is closed over
+// the retry. Policies are picked per server (WithAdmission) or per
+// cluster client (cluster.Options.Admission); the set is closed over
 // this package's Queue internals, so every transport — the in-process
 // worker pool and the cluster client's per-shard senders — shares one
 // admission implementation.
@@ -88,9 +88,8 @@ func (p blockWithDeadline) admit(q *Queue, j Job) error {
 // an already-accepted Push can vanish with no error to its caller,
 // surfacing in Stats.BatchesShed, the victim stream's
 // StreamStats.BatchesShed, and an EventShed on the event stream.
-// Per-stream use (WithStreamAdmission) still sheds shard-wide — mix it
-// with other policies deliberately. Confirmations are never shed: any
-// encountered while clearing space are re-enqueued behind the new batch.
+// Confirmations are never shed: any encountered while clearing space
+// are re-enqueued behind the new batch.
 func ShedOldest() AdmissionPolicy { return shedOldest{} }
 
 type shedOldest struct{}

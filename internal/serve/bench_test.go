@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,56 +10,6 @@ import (
 
 	"selflearn/internal/ml/forest"
 )
-
-// benchSnapshot and pipelineSnapshot accumulate BenchmarkServe and
-// BenchmarkPipeline results; TestMain writes them to BENCH_serve.json
-// and BENCH_pipeline.json (override with BENCH_SERVE_OUT /
-// BENCH_PIPELINE_OUT) so the repo's perf trajectory has a
-// machine-readable sample per run.
-var benchSnapshot = struct {
-	mu sync.Mutex
-	m  map[string]float64
-}{m: map[string]float64{}}
-
-var pipelineSnapshot = struct {
-	mu sync.Mutex
-	m  map[string]float64
-}{m: map[string]float64{}}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	writeSnapshot("BenchmarkServe", "BENCH_SERVE_OUT", "BENCH_serve.json", &benchSnapshot.mu, benchSnapshot.m)
-	writeSnapshot("BenchmarkPipeline", "BENCH_PIPELINE_OUT", "BENCH_pipeline.json", &pipelineSnapshot.mu, pipelineSnapshot.m)
-	os.Exit(code)
-}
-
-func writeSnapshot(name, env, def string, mu *sync.Mutex, m map[string]float64) {
-	mu.Lock()
-	defer mu.Unlock()
-	if len(m) == 0 {
-		return
-	}
-	out := os.Getenv(env)
-	if out == "" {
-		out = def
-	}
-	data, err := json.MarshalIndent(struct {
-		Benchmark     string             `json:"benchmark"`
-		GOMAXPROCS    int                `json:"gomaxprocs"`
-		WindowsPerSec map[string]float64 `json:"windows_per_sec"`
-	}{
-		Benchmark:     name,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		WindowsPerSec: m,
-	}, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench snapshot: %v\n", err)
-		return
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench snapshot: %v\n", err)
-	}
-}
 
 // BenchmarkServe measures steady-state classification throughput as the
 // worker count grows. Four producer goroutines each own a disjoint
@@ -144,9 +92,6 @@ func benchServe(b *testing.B, workers, patients int) {
 	srv.Close()
 	st := srv.Snapshot()
 	b.ReportMetric(st.WindowsPerSec, "windows/s")
-	benchSnapshot.mu.Lock()
-	benchSnapshot.m[fmt.Sprintf("workers=%d", workers)] = st.WindowsPerSec
-	benchSnapshot.mu.Unlock()
 }
 
 // BenchmarkPipeline measures the full samples-in → alarm-out window
@@ -197,11 +142,7 @@ func BenchmarkPipeline(b *testing.B) {
 				push()
 			}
 			b.StopTimer()
-			wps := float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(wps, "windows/s")
-			pipelineSnapshot.mu.Lock()
-			pipelineSnapshot.m[tc.name] = wps
-			pipelineSnapshot.mu.Unlock()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "windows/s")
 		})
 	}
 }

@@ -100,7 +100,7 @@ type modelCache struct {
 	mu       sync.Mutex
 	t        *lru[modelEntry]
 	versions map[string]uint64 // highest version seen per patient
-	store    VersionedStore
+	store    ModelStore
 	// saveMu serializes store writes, which lets saveVersion order them
 	// by version without holding mu (the per-batch reconcile lock) over
 	// disk I/O. Checkpoint saves happen at retrain/replica rate, far too
@@ -115,7 +115,7 @@ func newModelCache(capacity int, store ModelStore, onErr func(error)) *modelCach
 	return &modelCache{
 		t:        newLRU[modelEntry](capacity, nil),
 		versions: make(map[string]uint64),
-		store:    AsVersioned(store),
+		store:    store,
 		onErr:    onErr,
 	}
 }

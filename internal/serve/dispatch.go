@@ -5,13 +5,12 @@ import (
 	"selflearn/internal/ml/forest"
 )
 
-// localTransport is the in-process ShardTransport: the goroutine worker
-// pool the server was born with, now behind the same seam a cluster of
-// shardd processes plugs into. Patients map to workers by FNV-1a hash;
-// a patient's jobs always land on the same worker, which preserves
-// per-stream ordering without locks. The per-batch path stays
-// allocation-free: a Job is a value on a channel, and per-stream
-// attribution rides a pre-existing pointer in its Stream field.
+// localTransport is the in-process transport: the goroutine worker pool
+// behind Server. Patients map to workers by FNV-1a hash; a patient's
+// jobs always land on the same worker, which preserves per-stream
+// ordering without locks. The per-batch path stays allocation-free: a
+// Job is a value on a channel, and per-stream attribution rides a
+// pre-existing pointer in its Stream field.
 type localTransport struct {
 	workers []*worker
 }
@@ -34,12 +33,12 @@ func newLocalTransport(s *Server, historyRows int) (*localTransport, error) {
 	return t, nil
 }
 
-// Shard implements ShardTransport; local resolution cannot fail.
-func (t *localTransport) Shard(patientID string) (Shard, error) {
-	return t.workers[shardHash(patientID)%uint32(len(t.workers))], nil
+// shard resolves a patient to their worker.
+func (t *localTransport) shard(patientID string) *worker {
+	return t.workers[shardHash(patientID)%uint32(len(t.workers))]
 }
 
-// Depth implements ShardTransport.
+// Depth returns the number of jobs waiting across the worker queues.
 func (t *localTransport) Depth() int {
 	depth := 0
 	for _, w := range t.workers {
@@ -48,9 +47,8 @@ func (t *localTransport) Depth() int {
 	return depth
 }
 
-// Close implements ShardTransport: closes every worker queue and waits
-// for the drains. The caller (Server.Close) guarantees no Enqueue is in
-// flight.
+// Close closes every worker queue and waits for the drains. The caller
+// (Server.Close) guarantees no Enqueue is in flight.
 func (t *localTransport) Close() {
 	for _, w := range t.workers {
 		w.queue.Close()

@@ -37,8 +37,8 @@ func WithModelStore(st ModelStore) Option {
 }
 
 // WithAdmission sets the server-wide admission policy applied when a
-// shard queue is full. Default: DropOnFull(). Streams may override it
-// per handle with WithStreamAdmission.
+// shard queue is full. Default: DropOnFull(). Every stream of the
+// server uses it.
 func WithAdmission(p AdmissionPolicy) Option {
 	return func(o *serverOptions) {
 		if p != nil {
@@ -80,25 +80,4 @@ func WithEventBuffer(n int) Option {
 // Unlike the Events channel, a sink never drops events.
 func WithEventSink(fn func(Event)) Option {
 	return func(o *serverOptions) { o.sink = fn }
-}
-
-// StreamOption configures one Open handle.
-type StreamOption func(*streamOptions)
-
-type streamOptions struct {
-	admission AdmissionPolicy
-}
-
-// WithStreamAdmission overrides the server's admission policy for this
-// stream alone — e.g. a bedside monitor opens with BlockWithDeadline
-// while bulk replay streams keep DropOnFull. The policy governs how
-// THIS stream's pushes contend for the shared shard queue; a
-// per-stream ShedOldest still sheds other streams' queued batches (see
-// ShedOldest).
-func WithStreamAdmission(p AdmissionPolicy) StreamOption {
-	return func(o *streamOptions) {
-		if p != nil {
-			o.admission = p
-		}
-	}
 }

@@ -210,9 +210,9 @@ type Stats struct {
 }
 
 // Server is the concurrent multi-patient serving subsystem. Its
-// streams reach their shards through the local ShardTransport (the
+// streams reach their shards through the local transport (the
 // in-process worker pool); internal/cluster serves the same workload
-// shape across shardd processes behind the same interface.
+// shape across shardd processes with the same Stream surface.
 type Server struct {
 	cfg       Config
 	admission AdmissionPolicy
@@ -340,13 +340,13 @@ func shardHash(patientID string) uint32 {
 // The read lock is the closed handshake: Close takes the write lock
 // before closing the shard queues, so no admit is in flight when they
 // close.
-func (s *Server) enqueue(sh Shard, adm AdmissionPolicy, j Job) error {
+func (s *Server) enqueue(sh Shard, j Job) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return ErrClosed
 	}
-	err := sh.Enqueue(adm, j) //selflearn:locked-ok the read lock is the closed handshake documented above
+	err := sh.Enqueue(s.admission, j) //selflearn:locked-ok the read lock is the closed handshake documented above
 	switch {
 	case err == nil && j.Confirm:
 		s.confirms.Add(1)

@@ -64,9 +64,9 @@ func stream(t testing.TB, h *Stream, rec *signal.Recording) {
 }
 
 // open returns a handle, failing the test on error.
-func open(t testing.TB, srv *Server, patient string, opts ...StreamOption) *Stream {
+func open(t testing.TB, srv *Server, patient string) *Stream {
 	t.Helper()
-	h, err := srv.Open(patient, opts...)
+	h, err := srv.Open(patient)
 	if err != nil {
 		t.Fatalf("Open(%q): %v", patient, err)
 	}

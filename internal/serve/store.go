@@ -18,85 +18,22 @@ import (
 // entirely on the inference-optimized forest.FlatForest; the on-disk
 // interchange format is unchanged (see FileStore). Implementations must
 // be safe for concurrent use.
+//
+// Checkpoints carry monotonic per-patient model versions — the identity
+// the replication and warm-failover paths key on. Version 0 means
+// "pre-versioning checkpoint": LoadVersion must accept checkpoints
+// written before versions existed and report them as version 0, so a
+// fleet can be upgraded in place. The caller (the model cache) owns
+// version allocation; stores only persist what they are told.
 type ModelStore interface {
-	// Load returns the patient's checkpointed detector, or (nil, nil)
-	// when none is stored.
-	Load(patientID string) (*forest.FlatForest, error)
-	// Save checkpoints the patient's detector, replacing any previous one.
-	Save(patientID string, f *forest.FlatForest) error
-}
-
-// VersionedStore extends ModelStore with monotonic per-patient model
-// versions — the identity the replication and warm-failover paths key
-// on. Version 0 means "pre-versioning checkpoint": LoadVersion must
-// accept checkpoints written before versions existed and report them as
-// version 0, so a fleet can be upgraded in place. The caller (the model
-// cache) owns version allocation; stores only persist what they are
-// told.
-type VersionedStore interface {
-	ModelStore
 	// LoadVersion returns the patient's checkpointed detector and its
 	// version, or (nil, 0, nil) when none is stored. A checkpoint
 	// predating versioning loads with version 0.
 	LoadVersion(patientID string) (*forest.FlatForest, uint64, error)
 	// SaveVersion checkpoints the patient's detector stamped with
-	// version. Version 0 writes an unversioned (pre-versioning format)
-	// checkpoint.
+	// version, replacing any previous one. Version 0 writes an
+	// unversioned (pre-versioning format) checkpoint.
 	SaveVersion(patientID string, f *forest.FlatForest, version uint64) error
-}
-
-// AsVersioned adapts any ModelStore to the VersionedStore contract. A
-// store that is already versioned is returned as is; other stores are
-// wrapped with an in-process version table, so versions work (within
-// one process lifetime) even for stores that cannot persist them.
-func AsVersioned(st ModelStore) VersionedStore {
-	if st == nil {
-		return nil
-	}
-	if vs, ok := st.(VersionedStore); ok {
-		return vs
-	}
-	return &versionShim{inner: st, versions: make(map[string]uint64)}
-}
-
-// versionShim bolts an in-memory version table onto an unversioned
-// store. Versions reset with the process — exactly the durability of
-// the wrapped store's own data cannot exceed anyway.
-type versionShim struct {
-	inner    ModelStore
-	mu       sync.Mutex
-	versions map[string]uint64
-}
-
-func (s *versionShim) Load(patientID string) (*forest.FlatForest, error) {
-	return s.inner.Load(patientID)
-}
-
-func (s *versionShim) Save(patientID string, f *forest.FlatForest) error {
-	return s.inner.Save(patientID, f)
-}
-
-func (s *versionShim) LoadVersion(patientID string) (*forest.FlatForest, uint64, error) {
-	f, err := s.inner.Load(patientID)
-	if f == nil || err != nil {
-		return nil, 0, err
-	}
-	s.mu.Lock()
-	v := s.versions[patientID]
-	s.mu.Unlock()
-	return f, v, nil
-}
-
-func (s *versionShim) SaveVersion(patientID string, f *forest.FlatForest, version uint64) error {
-	if err := s.inner.Save(patientID, f); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	if version > s.versions[patientID] {
-		s.versions[patientID] = version
-	}
-	s.mu.Unlock()
-	return nil
 }
 
 // memEntry is one MemoryStore checkpoint: the detector plus its version.
@@ -120,13 +57,7 @@ func NewMemoryStore() *MemoryStore {
 	return &MemoryStore{m: make(map[string]memEntry)}
 }
 
-// Load implements ModelStore.
-func (s *MemoryStore) Load(patientID string) (*forest.FlatForest, error) {
-	f, _, err := s.LoadVersion(patientID)
-	return f, err
-}
-
-// LoadVersion implements VersionedStore.
+// LoadVersion implements ModelStore.
 func (s *MemoryStore) LoadVersion(patientID string) (*forest.FlatForest, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -134,12 +65,7 @@ func (s *MemoryStore) LoadVersion(patientID string) (*forest.FlatForest, uint64,
 	return e.f, e.version, nil
 }
 
-// Save implements ModelStore.
-func (s *MemoryStore) Save(patientID string, f *forest.FlatForest) error {
-	return s.SaveVersion(patientID, f, 0)
-}
-
-// SaveVersion implements VersionedStore.
+// SaveVersion implements ModelStore.
 func (s *MemoryStore) SaveVersion(patientID string, f *forest.FlatForest, version uint64) error {
 	if f == nil {
 		return fmt.Errorf("serve: nil model for %q", patientID)
@@ -219,33 +145,28 @@ func (s *FileStore) quarantine(path string) {
 	os.Remove(path)
 }
 
-// Load implements ModelStore; a missing checkpoint is (nil, nil). A
-// checkpoint that fails to parse — truncated by a crash predating
-// atomic writes, or corrupted on disk — is quarantined (renamed to a
-// unique <checkpoint>.corrupt* name) rather than left to fail every
-// future load: the first Load reports the error once (surfacing in
-// Stats.StoreErrors, with the serving path treating it as a miss so
-// the patient streams untrained instead of failing), subsequent Loads
-// see a clean miss, and the next retrain checkpoints normally. The
-// quarantined bytes are kept for forensics.
-func (s *FileStore) Load(patientID string) (*forest.FlatForest, error) {
-	f, _, err := s.LoadVersion(patientID)
-	return f, err
-}
-
 // checkpointHeader is the version envelope read off a checkpoint before
 // the forest itself is parsed. Absent on pre-versioning checkpoints.
 type checkpointHeader struct {
 	Version uint64 `json:"model_version"`
 }
 
-// LoadVersion implements VersionedStore with Load's quarantine
-// semantics. A corrupt checkpoint still reports any version salvaged
-// from its header prefix alongside the error: the caller keeps the
-// monotonic sequence even though the model is lost, so the next
-// publish does not regress to version 1 — which every replica holder
-// would refuse as stale, and which a later failover transfer would
-// then overwrite with an older detector.
+// LoadVersion implements ModelStore; a missing checkpoint is
+// (nil, 0, nil). A checkpoint that fails to parse — truncated by a
+// crash predating atomic writes, or corrupted on disk — is quarantined
+// (renamed to a unique <checkpoint>.corrupt* name) rather than left to
+// fail every future load: the first LoadVersion reports the error once
+// (surfacing in Stats.StoreErrors, with the serving path treating it as
+// a miss so the patient streams untrained instead of failing),
+// subsequent loads see a clean miss, and the next retrain checkpoints
+// normally. The quarantined bytes are kept for forensics.
+//
+// A corrupt checkpoint still reports any version salvaged from its
+// header prefix alongside the error: the caller keeps the monotonic
+// sequence even though the model is lost, so the next publish does not
+// regress to version 1 — which every replica holder would refuse as
+// stale, and which a later failover transfer would then overwrite with
+// an older detector.
 func (s *FileStore) LoadVersion(patientID string) (*forest.FlatForest, uint64, error) {
 	path := s.path(patientID)
 	data, err := os.ReadFile(path)
@@ -288,12 +209,7 @@ func salvageVersion(data []byte) uint64 {
 	return v
 }
 
-// Save implements ModelStore, writing an unversioned checkpoint.
-func (s *FileStore) Save(patientID string, f *forest.FlatForest) error {
-	return s.SaveVersion(patientID, f, 0)
-}
-
-// SaveVersion implements VersionedStore: the version is stamped into
+// SaveVersion implements ModelStore: the version is stamped into
 // the checkpoint's JSON header, so it survives restarts and crosses to
 // any peer the file is replicated to.
 func (s *FileStore) SaveVersion(patientID string, f *forest.FlatForest, version uint64) error {

@@ -27,16 +27,16 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f, err := fs.Load("absent"); err != nil || f != nil {
-		t.Fatalf("Load(absent) = %v, %v; want nil, nil", f, err)
+	if f, _, err := fs.LoadVersion("absent"); err != nil || f != nil {
+		t.Fatalf("LoadVersion(absent) = %v, %v; want nil, nil", f, err)
 	}
 	// An ID with path-hostile characters must stay one flat file.
 	const id = "ward-3/bed 12"
 	f := tinyForest(t, 1)
-	if err := fs.Save(id, f); err != nil {
+	if err := fs.SaveVersion(id, f, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.Load(id)
+	got, _, err := fs.LoadVersion(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 		}
 	}
 	// Overwrite replaces the checkpoint rather than accumulating files.
-	if err := fs.Save(id, tinyForest(t, 2)); err != nil {
+	if err := fs.SaveVersion(id, tinyForest(t, 2), 0); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(fs.Dir())
@@ -56,8 +56,8 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("checkpoint dir holds %d files, want 1", len(entries))
 	}
-	if err := fs.Save(id, nil); err == nil {
-		t.Fatal("Save(nil) accepted")
+	if err := fs.SaveVersion(id, nil, 0); err == nil {
+		t.Fatal("SaveVersion(nil) accepted")
 	}
 }
 
@@ -88,7 +88,7 @@ func TestFileStoreFlatCheckpointInterop(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	flat, err := fs.Load("legacy")
+	flat, _, err := fs.LoadVersion("legacy")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFileStoreFlatCheckpointInterop(t *testing.T) {
 	}
 
 	// Flat checkpoint on disk → pointer tooling load.
-	if err := fs.Save("flat", pointer.Flatten()); err != nil {
+	if err := fs.SaveVersion("flat", pointer.Flatten(), 0); err != nil {
 		t.Fatal(err)
 	}
 	r, err := os.Open(fs.path("flat"))
@@ -143,7 +143,7 @@ func TestFileStoreCorruptCheckpointRecovery(t *testing.T) {
 			}
 			// First load reports the corruption (it becomes a
 			// Stats.StoreErrors tick through the cache)...
-			if _, err := fs.Load("p"); err == nil {
+			if _, _, err := fs.LoadVersion("p"); err == nil {
 				t.Fatal("corrupt checkpoint loaded without error")
 			}
 			// ...and quarantines the file rather than deleting evidence.
@@ -154,15 +154,15 @@ func TestFileStoreCorruptCheckpointRecovery(t *testing.T) {
 				t.Fatalf("quarantine file missing: %v", err)
 			}
 			// Second load is a clean miss, not a repeated error.
-			if f, err := fs.Load("p"); err != nil || f != nil {
+			if f, _, err := fs.LoadVersion("p"); err != nil || f != nil {
 				t.Fatalf("Load after quarantine = %v, %v; want nil, nil", f, err)
 			}
 			// The patient's next retrain checkpoints and reloads normally.
 			want := tinyForest(t, 1)
-			if err := fs.Save("p", want); err != nil {
+			if err := fs.SaveVersion("p", want, 0); err != nil {
 				t.Fatal(err)
 			}
-			got, err := fs.Load("p")
+			got, _, err := fs.LoadVersion("p")
 			if err != nil || got == nil {
 				t.Fatalf("Load after re-save = %v, %v", got, err)
 			}
@@ -200,7 +200,7 @@ func TestFileStoreQuarantineKeepsForensics(t *testing.T) {
 		if err := os.WriteFile(path, body, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Load("p"); err == nil {
+		if _, _, err := fs.LoadVersion("p"); err == nil {
 			t.Fatalf("corruption %d loaded without error", i)
 		}
 	}
@@ -218,27 +218,26 @@ func TestFileStoreQuarantineKeepsForensics(t *testing.T) {
 		}
 	}
 	// The patient still recovers: a clean miss, then a normal save.
-	if f, err := fs.Load("p"); err != nil || f != nil {
+	if f, _, err := fs.LoadVersion("p"); err != nil || f != nil {
 		t.Fatalf("Load after quarantines = %v, %v; want nil, nil", f, err)
 	}
-	if err := fs.Save("p", tinyForest(t, 1)); err != nil {
+	if err := fs.SaveVersion("p", tinyForest(t, 1), 0); err != nil {
 		t.Fatal(err)
 	}
-	if f, err := fs.Load("p"); err != nil || f == nil {
+	if f, _, err := fs.LoadVersion("p"); err != nil || f == nil {
 		t.Fatalf("Load after re-save = %v, %v", f, err)
 	}
 }
 
-// TestStoreVersionRoundTrip pins the VersionedStore contract for both
+// TestStoreVersionRoundTrip pins the ModelStore contract for both
 // implementations: SaveVersion/LoadVersion round-trip the version with
-// the model, plain Save writes a version-0 (pre-versioning format)
-// checkpoint, and — for the FileStore — a checkpoint written by the
+// the model, version 0 writes a pre-versioning format checkpoint, and — for the FileStore — a checkpoint written by the
 // pre-versioning format (a bare forest JSON, as every existing
 // deployment has on disk) loads cleanly as version 0.
 func TestStoreVersionRoundTrip(t *testing.T) {
 	f := tinyForest(t, 1)
 	probe := [][]float64{{0, 0}, {1, 1}, {0.05, 0.05}, {0.95, 0.95}}
-	check := func(t *testing.T, st VersionedStore) {
+	check := func(t *testing.T, st ModelStore) {
 		t.Helper()
 		if got, v, err := st.LoadVersion("absent"); err != nil || got != nil || v != 0 {
 			t.Fatalf("LoadVersion(absent) = %v, %d, %v; want nil, 0, nil", got, v, err)
@@ -262,8 +261,8 @@ func TestStoreVersionRoundTrip(t *testing.T) {
 		if _, v, _ := st.LoadVersion("p"); v != 8 {
 			t.Fatalf("version after re-save = %d, want 8", v)
 		}
-		// Plain Save is the pre-versioning write: version reads as 0.
-		if err := st.Save("p0", f); err != nil {
+		// Version 0 is the pre-versioning write: version reads as 0.
+		if err := st.SaveVersion("p0", f, 0); err != nil {
 			t.Fatal(err)
 		}
 		if got, v, err := st.LoadVersion("p0"); err != nil || got == nil || v != 0 {

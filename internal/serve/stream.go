@@ -10,13 +10,12 @@ import (
 var ErrStreamClosed = errors.New("serve: stream closed")
 
 // Stream is a per-patient session handle returned by Server.Open. The
-// patient's shard is resolved once at Open — through the server's
-// ShardTransport, so the handle never touches a worker directly — and
+// patient's shard is resolved once at Open — the handle enqueues
+// through the Shard seam and never touches a worker directly — and
 // the per-batch path is hash-free; the handle also carries per-stream
-// counters and the stream's admission policy. A Stream's methods are
-// safe for concurrent use, but batches Pushed concurrently race for
-// queue order — a wearable gateway should Push each patient's stream
-// from one goroutine.
+// counters. A Stream's methods are safe for concurrent use, but batches
+// Pushed concurrently race for queue order — a wearable gateway should
+// Push each patient's stream from one goroutine.
 //
 // Multiple handles may be open for the same patient (e.g. a hospital
 // gateway and a home gateway across a transfer); they share the
@@ -25,7 +24,6 @@ type Stream struct {
 	srv     *Server
 	patient string
 	shard   Shard
-	adm     AdmissionPolicy
 	closed  atomic.Bool
 
 	batches  atomic.Uint64
@@ -63,27 +61,17 @@ type StreamStats struct {
 // Open never creates the server-side session — that happens lazily on
 // the first batch — so an Open/Close pair with no traffic costs nothing
 // on the workers.
-func (s *Server) Open(patientID string, opts ...StreamOption) (*Stream, error) {
+func (s *Server) Open(patientID string) (*Stream, error) {
 	if patientID == "" {
 		return nil, errors.New("serve: empty patient ID")
-	}
-	// Options are applied before the lock: they are caller-supplied
-	// callbacks, and nothing they configure reads server state.
-	so := streamOptions{admission: s.admission}
-	for _, opt := range opts {
-		opt(&so)
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	sh, err := s.transport.Shard(patientID)
-	if err != nil {
-		return nil, err
-	}
 	s.streamsOpen.Add(1)
-	return &Stream{srv: s, patient: patientID, shard: sh, adm: so.admission}, nil
+	return &Stream{srv: s, patient: patientID, shard: s.transport.shard(patientID)}, nil
 }
 
 // Patient returns the stream's patient ID.
@@ -124,12 +112,12 @@ func (st *Stream) Push(c0, c1 []float64) error {
 	if st.srv.closedFast.Load() {
 		return ErrClosed
 	}
-	if st.shard.Congested(st.adm) {
+	if st.shard.Congested(st.srv.admission) {
 		st.srv.batchesDropped.Add(1)
 		st.dropped.Add(1)
 		return ErrBackpressure
 	}
-	err := st.srv.enqueue(st.shard, st.adm, Job{Patient: st.patient, Stream: st, C0: c0, C1: c1})
+	err := st.srv.enqueue(st.shard, Job{Patient: st.patient, Stream: st, C0: c0, C1: c1})
 	switch err {
 	case nil:
 		st.batches.Add(1)
@@ -151,7 +139,7 @@ func (st *Stream) DeclarePrefilter(cfg PrefilterConfig) error {
 		return ErrStreamClosed
 	}
 	c := cfg
-	return st.srv.enqueue(st.shard, st.adm, Job{Patient: st.patient, Stream: st, Declare: &c})
+	return st.srv.enqueue(st.shard, Job{Patient: st.patient, Stream: st, Declare: &c})
 }
 
 // PushDigest reports a span of suppressed windows (a
@@ -168,7 +156,7 @@ func (st *Stream) PushDigest(d Digest) error {
 		return ErrClosed
 	}
 	dd := d
-	err := st.srv.enqueue(st.shard, st.adm, Job{Patient: st.patient, Stream: st, Digest: &dd})
+	err := st.srv.enqueue(st.shard, Job{Patient: st.patient, Stream: st, Digest: &dd})
 	if err == nil {
 		st.batches.Add(1)
 	}
@@ -193,7 +181,7 @@ func (st *Stream) PushAudit(c0, c1 []float64) error {
 	if st.srv.closedFast.Load() {
 		return ErrClosed
 	}
-	err := st.srv.enqueue(st.shard, st.adm, Job{Patient: st.patient, Stream: st, C0: c0, C1: c1, Audit: true})
+	err := st.srv.enqueue(st.shard, Job{Patient: st.patient, Stream: st, C0: c0, C1: c1, Audit: true})
 	if err == nil {
 		st.batches.Add(1)
 	}
@@ -207,7 +195,7 @@ func (st *Stream) Confirm() error {
 	if st.closed.Load() {
 		return ErrStreamClosed
 	}
-	err := st.srv.enqueue(st.shard, st.adm, Job{Patient: st.patient, Stream: st, Confirm: true})
+	err := st.srv.enqueue(st.shard, Job{Patient: st.patient, Stream: st, Confirm: true})
 	if err == nil {
 		st.confirms.Add(1)
 	}

@@ -1,13 +1,12 @@
 package serve
 
-// This file is the transport seam of the serving layer: the pieces a
-// session handle uses to reach its shard without knowing whether that
-// shard is a goroutine in this process (localTransport, dispatch.go) or
-// a shardd process across the network (internal/cluster.Router). The
-// contract is deliberately narrow — resolve a patient to a Shard once,
-// then push admission-governed Jobs at it — so the zero-alloc local hot
-// path and the TCP path share one admission layer and one behavioral
-// test suite (internal/serve/servetest).
+// This file holds what the serving layer's two transports share: the
+// goroutine worker pool in this process (localTransport, dispatch.go)
+// and the cluster client's per-shard senders to shardd processes
+// (internal/cluster). A handle resolves its patient to a Shard once at
+// Open, then pushes admission-governed Jobs at it, so the zero-alloc
+// local hot path and the TCP path share one admission layer and one
+// behavioral test suite (internal/serve/servetest).
 
 // Job is one unit of shard input crossing a transport: a sample batch
 // (C0/C1), a seizure confirmation, or one of the prefilter kinds — a
@@ -145,23 +144,6 @@ type Shard interface {
 	Congested(p AdmissionPolicy) bool
 	// Depth returns the number of jobs waiting on this shard.
 	Depth() int
-}
-
-// ShardTransport routes patients to shards. The local implementation
-// hashes over in-process workers (dispatch.go); the cluster
-// implementation (internal/cluster.Router) rendezvous-hashes over
-// healthy shardd TCP connections with reconnect and failover.
-type ShardTransport interface {
-	// Shard resolves a patient to their shard. Resolution happens once
-	// per Open so the per-batch path is routing-free; it fails only
-	// when no shard can currently accept the patient (a cluster with
-	// every backend down).
-	Shard(patientID string) (Shard, error)
-	// Depth returns the total number of jobs waiting across shards.
-	Depth() int
-	// Close releases the transport's shards. For the local transport
-	// this drains and stops the worker pool.
-	Close()
 }
 
 // QueueShard adapts a bare Queue into a Shard — the building block
