@@ -37,7 +37,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -189,7 +188,7 @@ func runOne(spec scenario.Spec, addrs []string, idx int, speed float64) (*scenar
 			return nil, err
 		}
 		defer srv.Close()
-		return w.Run(scenario.LocalBackend(srv), c)
+		return w.Run(srv, c)
 	}
 
 	if w.Spec.Quality != nil {
@@ -213,7 +212,11 @@ func runOne(spec scenario.Spec, addrs []string, idx int, speed float64) (*scenar
 		}
 	}
 
-	copts := cluster.Options{Admission: admissionPolicy(w.Spec.Admission)}
+	adm, err := serve.ParseAdmission(w.Spec.Admission, 0)
+	if err != nil {
+		return nil, err
+	}
+	copts := cluster.Options{Admission: adm}
 	if w.Spec.Faults != nil {
 		// Every router and dial runs under the plan from here on; plan
 		// time starts now, so window offsets are relative to the
@@ -246,7 +249,7 @@ func runRouted(w *scenario.Workload, c *scenario.Collector, r *cluster.Router) (
 			c.Observe(ev)
 		}
 	}()
-	res, err := w.Run(routerBackend{r}, c)
+	res, err := w.Run(r, c)
 	if err != nil {
 		return nil, err
 	}
@@ -259,73 +262,6 @@ func runRouted(w *scenario.Workload, c *scenario.Collector, r *cluster.Router) (
 		}
 	}
 	return res, nil
-}
-
-func admissionPolicy(name string) serve.AdmissionPolicy {
-	switch name {
-	case "drop":
-		return serve.DropOnFull()
-	case "shed":
-		return serve.ShedOldest()
-	default:
-		return serve.BlockWithDeadline(0)
-	}
-}
-
-// routerBackend drives a shardd fleet through a cluster.Router. The
-// engine only retries serve.ErrBackpressure, so the handle absorbs the
-// transport-level retryables (a shard failing over) with its own
-// bounded retry.
-type routerBackend struct{ r *cluster.Router }
-
-func (b routerBackend) Open(patient string) (scenario.Handle, error) {
-	st, err := b.r.Open(patient)
-	if err != nil {
-		return nil, err
-	}
-	return clusterHandle{st}, nil
-}
-
-func (b routerBackend) Snapshot() serve.Stats { return b.r.Snapshot() }
-
-type clusterHandle struct{ st *cluster.Stream }
-
-func (h clusterHandle) Push(c0, c1 []float64) error {
-	return retryTransient(func() error { return h.st.Push(c0, c1) })
-}
-func (h clusterHandle) Confirm() error {
-	return retryTransient(func() error { return h.st.Confirm() })
-}
-
-// The prefilter verbs: the stage-1 gate runs in this process ("on
-// device"), and these carry its declaration, digests and audit samples
-// to the shard.
-func (h clusterHandle) DeclarePrefilter(cfg serve.PrefilterConfig) error {
-	return retryTransient(func() error { return h.st.DeclarePrefilter(cfg) })
-}
-func (h clusterHandle) PushDigest(d serve.Digest) error {
-	return retryTransient(func() error { return h.st.PushDigest(d) })
-}
-func (h clusterHandle) PushAudit(c0, c1 []float64) error {
-	return retryTransient(func() error { return h.st.PushAudit(c0, c1) })
-}
-func (h clusterHandle) Close() { h.st.Close() }
-
-// retryTransient retries fn while it fails with a shard outage for up
-// to 30 s, passing every other outcome — including
-// serve.ErrBackpressure, which the engine owns — straight through.
-func retryTransient(fn func() error) error {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		err := fn()
-		if !errors.Is(err, cluster.ErrShardDown) && !errors.Is(err, cluster.ErrNoShards) {
-			return err
-		}
-		if time.Now().After(deadline) {
-			return err
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
 }
 
 // describe summarizes a matrix spec's adversarial traits for -list.

@@ -66,7 +66,7 @@ func TestRunSurvivesShardLoss(t *testing.T) {
 		defer s.stop() // idempotent: the victim is stopped early below
 	}
 	r, err := cluster.Dial([]string{shards[0].ss.Addr().String(), shards[1].ss.Addr().String()},
-		cluster.Options{Admission: admissionPolicy("drop")})
+		cluster.Options{Admission: serve.DropOnFull()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,17 +86,11 @@ func main() {
 		log.Printf("shardd: fault plan armed: %d windows (fault seed %d)", len(inj.Windows()), plan.Seed)
 	}
 
-	opts := []serve.Option{serve.WithEventBuffer(*eventBuffer)}
-	switch *admission {
-	case "drop":
-		opts = append(opts, serve.WithAdmission(serve.DropOnFull()))
-	case "block":
-		opts = append(opts, serve.WithAdmission(serve.BlockWithDeadline(*deadline)))
-	case "shed":
-		opts = append(opts, serve.WithAdmission(serve.ShedOldest()))
-	default:
-		log.Fatalf("shardd: unknown -admission %q (want drop, block or shed)", *admission)
+	adm, err := serve.ParseAdmission(*admission, *deadline)
+	if err != nil {
+		log.Fatalf("shardd: -admission: %v", err)
 	}
+	opts := []serve.Option{serve.WithEventBuffer(*eventBuffer), serve.WithAdmission(adm)}
 	if *storeDir != "" {
 		fs, err := serve.NewFileStore(*storeDir)
 		if err != nil {

@@ -134,7 +134,7 @@ type chaosFleet struct {
 	replica  int
 	storeDir string
 	r        *Router
-	h        *Stream
+	h        *serve.Stream
 	patient  string
 }
 

@@ -4,7 +4,10 @@
 // same serve.Shard seam, serve.Queue and admission policies as the
 // in-process worker pool.
 //
-// The Router owns one connection per shardd address. Patients map to
+// The Router hands out serve.Stream handles, the same type a local
+// serve.Server returns, each opened on a per-stream route (a
+// serve.Shard) that resolves its patient through the fleet. The Router
+// owns one connection per shardd address. Patients map to
 // backends by rendezvous (highest-random-weight) hashing over the
 // currently healthy set, so losing one backend reroutes only that
 // backend's patients and recovering it routes exactly those patients
@@ -98,9 +101,6 @@ func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 256
 	}
-	if o.Admission == nil {
-		o.Admission = serve.DropOnFull()
-	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 3 * time.Second
 	}
@@ -135,8 +135,9 @@ func (o Options) withDefaults() Options {
 
 // Router is the client side of cluster mode: it routes patients to
 // shards over TCP connections to shardd processes and offers the same
-// Open/Events/Snapshot/Close surface as a local serve.Server, so a
-// replay harness drives either interchangeably.
+// Open/Events/Snapshot/Close surface as a local serve.Server — Open
+// returns the same *serve.Stream — so a replay harness drives either
+// interchangeably.
 type Router struct {
 	opts   Options
 	shards []*shardConn
@@ -159,19 +160,16 @@ type Router struct {
 	modelMu       sync.Mutex
 	modelVersions map[string]uint64
 
-	mu     sync.RWMutex // guards closed against in-flight Open/Push
-	closed bool
-
-	// Client-side counters cover exactly what the shards cannot see:
-	// admission refusals, jobs lost in transit, handle churn. Accepted
-	// batches and confirms are counted where they are served — the
-	// shard's Stats are authoritative and Snapshot sums them.
-	streamsOpen      atomic.Int64
-	batchesDropped   atomic.Uint64
-	batchesShed      atomic.Uint64
-	confirmsRejected atomic.Uint64
-	confirmsDropped  atomic.Uint64
-	statsToken       atomic.Uint64
+	// in opens the router's streams and holds the client-side
+	// counters of what the shards cannot see: admission refusals and
+	// handle churn. batchesShed and confirmsDropped count jobs lost in
+	// transit. Accepted batches and confirms are counted where they are
+	// served — the shards' Stats are authoritative and Snapshot sums
+	// them.
+	in              *serve.Intake
+	batchesShed     atomic.Uint64
+	confirmsDropped atomic.Uint64
+	statsToken      atomic.Uint64
 }
 
 // Dial starts a router over the given shardd addresses. Connections
@@ -192,7 +190,7 @@ func Dial(addrs []string, opts Options) (*Router, error) {
 		}
 		seen[a] = true
 	}
-	r := &Router{opts: opts.withDefaults(), start: time.Now(), modelVersions: make(map[string]uint64)}
+	r := &Router{opts: opts.withDefaults(), in: serve.NewIntake(opts.Admission), start: time.Now(), modelVersions: make(map[string]uint64)}
 	r.events = make(chan serve.Event, r.opts.EventBuffer)
 	r.shards = make([]*shardConn, len(addrs))
 	for i, addr := range addrs {
@@ -466,10 +464,11 @@ func (r *Router) Snapshot() serve.Stats {
 		agg.EventsDropped += st.EventsDropped
 		agg.QueueDepth += st.QueueDepth
 	}
-	agg.StreamsOpen = int(r.streamsOpen.Load())
-	agg.BatchesDropped += r.batchesDropped.Load()
+	client := r.in.Counts()
+	agg.StreamsOpen = client.StreamsOpen
+	agg.BatchesDropped += client.BatchesDropped
 	agg.BatchesShed += r.batchesShed.Load()
-	agg.ConfirmsRejected += r.confirmsRejected.Load()
+	agg.ConfirmsRejected += client.ConfirmsRejected
 	agg.ConfirmsDropped += r.confirmsDropped.Load()
 	agg.EventsDropped += r.eventsDropped.Load()
 	agg.QueueDepth += r.Depth()
@@ -495,13 +494,9 @@ func (r *Router) UplinkBytes() uint64 {
 // and closes the merged event channel.
 // Open and Push fail with serve.ErrClosed afterwards. Idempotent.
 func (r *Router) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
+	if !r.in.Close() {
 		return
 	}
-	r.closed = true
-	r.mu.Unlock()
 	for _, sc := range r.shards {
 		sc.stopOnce.Do(func() { close(sc.stop) })
 	}
@@ -511,62 +506,27 @@ func (r *Router) Close() {
 	close(r.events)
 }
 
-// Stream is a per-patient cluster session handle with the same
-// contract as serve.Stream: Push and Confirm enqueue toward the
-// patient's shard under the stream's admission policy, and per-stream
-// counters attribute outcomes. The shard is resolved through the
-// rendezvous router and cached; a health transition anywhere in the
-// fleet revalidates the cache on the next push, which is how failover
-// happens mid-stream.
-type Stream struct {
+// Open returns a handle for streaming patientID's samples to its
+// shard. Opening succeeds even while every backend is down — pushes
+// report the outage (ErrShardDown, ErrNoShards; the caller owns the
+// retry, exactly as with backpressure) — so gateways can open ahead of
+// connectivity.
+func (r *Router) Open(patientID string) (*serve.Stream, error) {
+	return r.in.Open(patientID, &route{r: r, patient: patientID})
+}
+
+// route is one stream's serve.Shard on the router. The shard is
+// resolved through the rendezvous and cached; a health transition
+// anywhere in the fleet revalidates the cache on the next push, which
+// is how failover happens mid-stream.
+type route struct {
 	r       *Router
 	patient string
-	adm     serve.AdmissionPolicy
-	closed  atomic.Bool
 
 	resolveMu sync.Mutex
 	shard     *shardConn
 	epoch     uint64
-
-	batches  atomic.Uint64
-	dropped  atomic.Uint64
-	shed     atomic.Uint64
-	confirms atomic.Uint64
 }
-
-// Open returns a handle for streaming patientID's samples to its
-// shard. Opening succeeds even while every backend is down — pushes
-// report the outage — so gateways can open ahead of connectivity.
-func (r *Router) Open(patientID string) (*Stream, error) {
-	if patientID == "" {
-		return nil, errors.New("cluster: empty patient ID")
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.closed {
-		return nil, serve.ErrClosed
-	}
-	r.streamsOpen.Add(1)
-	return &Stream{r: r, patient: patientID, adm: r.opts.Admission}, nil
-}
-
-// Patient returns the stream's patient ID.
-func (st *Stream) Patient() string { return st.patient }
-
-// NoteShed implements serve.StreamObserver: a queued batch of this
-// stream's was discarded (admission shedding or a dying connection).
-func (st *Stream) NoteShed() { st.shed.Add(1) }
-
-// NoteWindows implements serve.StreamObserver; remote processing
-// reports windows via events and stats, so this is never called.
-func (st *Stream) NoteWindows(int) {}
-
-// NoteAlarms implements serve.StreamObserver; see NoteWindows.
-func (st *Stream) NoteAlarms(int) {}
-
-// NoteRejected implements serve.StreamObserver; quality rejections
-// happen shardd-side and arrive as EventQualityReject events.
-func (st *Stream) NoteRejected() {}
 
 // resolve returns the stream's shard, re-running the rendezvous when
 // the fleet's health epoch moved or the cached shard went down. A
@@ -578,155 +538,43 @@ func (st *Stream) NoteRejected() {}
 // socket, and the shard's serial read loop installs the model) before
 // this stream's next Push can reach that socket, because both are
 // ordered behind resolveMu here.
-func (st *Stream) resolve() (*shardConn, error) {
-	ep := st.r.epoch.Load()
-	st.resolveMu.Lock()
-	defer st.resolveMu.Unlock()
-	if st.shard != nil && st.epoch == ep && st.shard.healthy.Load() {
-		return st.shard, nil
+func (ro *route) resolve() (*shardConn, error) {
+	ep := ro.r.epoch.Load()
+	ro.resolveMu.Lock()
+	defer ro.resolveMu.Unlock()
+	if ro.shard != nil && ro.epoch == ep && ro.shard.healthy.Load() {
+		return ro.shard, nil
 	}
-	sc, err := st.r.pick(st.patient)
+	sc, err := ro.r.pick(ro.patient)
 	if err != nil {
 		return nil, err
 	}
-	if st.shard != nil && sc != st.shard {
-		st.r.warmTransfer(st.patient, sc) //selflearn:locked-ok resolveMu orders the transfer ahead of this stream's next Push, per the doc comment
+	if ro.shard != nil && sc != ro.shard {
+		ro.r.warmTransfer(ro.patient, sc) //selflearn:locked-ok resolveMu orders the transfer ahead of this stream's next Push, per the doc comment
 	}
-	st.shard, st.epoch = sc, ep
+	ro.shard, ro.epoch = sc, ep
 	return sc, nil
 }
 
-// enqueue routes one job with serve.Stream's counter semantics. A
-// shard that dropped dead between resolve and enqueue is retried once
-// against the re-resolved fleet.
-func (st *Stream) enqueue(j serve.Job) error {
-	st.r.mu.RLock()
-	defer st.r.mu.RUnlock()
-	if st.r.closed {
-		return serve.ErrClosed
-	}
+// Enqueue implements serve.Shard. A shard that dropped dead between
+// resolve and offer is retried once against the re-resolved fleet.
+func (ro *route) Enqueue(p serve.AdmissionPolicy, j serve.Job) error {
 	var err error
 	for attempt := 0; attempt < 2; attempt++ {
 		var sc *shardConn
-		if sc, err = st.resolve(); err != nil { //selflearn:locked-ok the router read lock is the closed handshake; Close takes the write lock
-			break
+		if sc, err = ro.resolve(); err != nil {
+			return err
 		}
-		if err = sc.Enqueue(st.adm, j); err != ErrShardDown { //selflearn:locked-ok same closed handshake; the queue offer is bounded, not a blocking send
-			break
+		if err = sc.Enqueue(p, j); err != ErrShardDown {
+			return err
 		}
-	}
-	switch {
-	case err == nil && j.Confirm:
-		st.confirms.Add(1)
-	case err == nil && j.Declare != nil:
-		// Declarations are control traffic, not batches.
-	case err == nil:
-		st.batches.Add(1)
-	case j.Confirm:
-		st.r.confirmsRejected.Add(1)
-	default:
-		st.dropped.Add(1)
-		st.r.batchesDropped.Add(1)
 	}
 	return err
 }
 
-// Push enqueues one batch of synchronized two-channel samples toward
-// the patient's shard. It returns serve.ErrBackpressure when the
-// stream's admission policy gives up on a full outbound queue,
-// ErrShardDown/ErrNoShards during an outage (the caller owns the
-// retry, exactly as with backpressure), and serve.ErrClosed /
-// serve.ErrStreamClosed after Close. The router takes ownership of the
-// slices.
-func (st *Stream) Push(c0, c1 []float64) error {
-	if st.closed.Load() {
-		return serve.ErrStreamClosed
-	}
-	if len(c0) != len(c1) {
-		return fmt.Errorf("cluster: channel length mismatch %d vs %d", len(c0), len(c1))
-	}
-	if len(c0) == 0 {
-		return nil
-	}
-	// Cheap overload path, mirroring serve.Stream.Push: a policy that
-	// would certainly refuse gets to say so before the job is built.
-	if sc, err := st.resolve(); err == nil && sc.Congested(st.adm) {
-		st.dropped.Add(1)
-		st.r.batchesDropped.Add(1)
-		return serve.ErrBackpressure
-	}
-	return st.enqueue(serve.Job{Patient: st.patient, Stream: st, C0: c0, C1: c1})
-}
-
-// DeclarePrefilter announces the stream's client-side stage-1
-// prefilter to the patient's shard, mirroring serve.Stream: the shard
-// arms its audit mirror from the declaration.
-func (st *Stream) DeclarePrefilter(cfg serve.PrefilterConfig) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if st.closed.Load() {
-		return serve.ErrStreamClosed
-	}
-	c := cfg
-	return st.enqueue(serve.Job{Patient: st.patient, Stream: st, Declare: &c})
-}
-
-// PushDigest reports a span of suppressed windows to the patient's
-// shard, mirroring serve.Stream.PushDigest. Empty digests are accepted
-// and ignored.
-func (st *Stream) PushDigest(d serve.Digest) error {
-	if d.Windows == 0 {
-		return nil
-	}
-	if st.closed.Load() {
-		return serve.ErrStreamClosed
-	}
-	dd := d
-	return st.enqueue(serve.Job{Patient: st.patient, Stream: st, Digest: &dd})
-}
-
-// PushAudit ships one suppressed window's full samples for shard-side
-// stage-2 audit replay, mirroring serve.Stream.PushAudit. The router
-// takes ownership of the slices.
-func (st *Stream) PushAudit(c0, c1 []float64) error {
-	if st.closed.Load() {
-		return serve.ErrStreamClosed
-	}
-	if len(c0) != len(c1) {
-		return fmt.Errorf("cluster: channel length mismatch %d vs %d", len(c0), len(c1))
-	}
-	if len(c0) == 0 {
-		return nil
-	}
-	return st.enqueue(serve.Job{Patient: st.patient, Stream: st, C0: c0, C1: c1, Audit: true})
-}
-
-// Confirm reports the patient's seizure confirmation to their shard,
-// where it schedules a-posteriori labeling and retraining.
-func (st *Stream) Confirm() error {
-	if st.closed.Load() {
-		return serve.ErrStreamClosed
-	}
-	return st.enqueue(serve.Job{Patient: st.patient, Stream: st, Confirm: true})
-}
-
-// Stats snapshots this handle's client-side counters. Windows and
-// Alarms are served remotely and arrive via events and Snapshot, so
-// they read 0 here.
-func (st *Stream) Stats() serve.StreamStats {
-	return serve.StreamStats{
-		Patient:        st.patient,
-		Batches:        st.batches.Load(),
-		BatchesDropped: st.dropped.Load(),
-		BatchesShed:    st.shed.Load(),
-		Confirms:       st.confirms.Load(),
-	}
-}
-
-// Close invalidates the handle; queued batches still flow. Idempotent.
-func (st *Stream) Close() {
-	if !st.closed.Swap(true) {
-		st.r.streamsOpen.Add(-1)
-	}
+// Congested implements serve.Shard. A patient no healthy shard can take
+// is not congested: Enqueue reports the outage instead.
+func (ro *route) Congested(p serve.AdmissionPolicy) bool {
+	sc, err := ro.resolve()
+	return err == nil && sc.Congested(p)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"selflearn/internal/rt"
 	"selflearn/internal/serve"
 	"selflearn/internal/serve/servetest"
 	"selflearn/internal/signal"
@@ -78,17 +79,10 @@ func testRecording(t testing.TB, seed int64, duration, seizureStart, seizureDur 
 	return rec
 }
 
-// pusher is the handle surface shared by serve.Stream and
-// cluster.Stream; the equivalence scenario drives both through it.
-type pusher interface {
-	Push(c0, c1 []float64) error
-	Confirm() error
-}
-
 // pushSamples streams raw channels through h in one-second batches,
 // retrying transient refusals (backpressure locally; backpressure or
 // shard outage in cluster mode).
-func pushSamples(t testing.TB, h pusher, c0, c1 []float64) {
+func pushSamples(t testing.TB, h *serve.Stream, c0, c1 []float64) {
 	t.Helper()
 	for off := 0; off < len(c0); off += testRate {
 		end := min(off+testRate, len(c0))
@@ -108,12 +102,12 @@ func pushSamples(t testing.TB, h pusher, c0, c1 []float64) {
 }
 
 // push streams rec through h in one-second batches.
-func push(t testing.TB, h pusher, rec *signal.Recording) {
+func push(t testing.TB, h *serve.Stream, rec *signal.Recording) {
 	t.Helper()
 	pushSamples(t, h, rec.Data[0], rec.Data[1])
 }
 
-func confirm(t testing.TB, h pusher) {
+func confirm(t testing.TB, h *serve.Stream) {
 	t.Helper()
 	for {
 		err := h.Confirm()
@@ -129,24 +123,13 @@ func confirm(t testing.TB, h pusher) {
 	}
 }
 
-// backend abstracts the two serving modes for the equivalence test.
+// backend is the surface serve.Server and Router share; the
+// equivalence scenario drives both through it.
 type backend interface {
-	open(patient string) (pusher, error)
-	events() <-chan serve.Event
-	snapshot() serve.Stats
+	Open(patient string) (*serve.Stream, error)
+	Events() <-chan serve.Event
+	Snapshot() serve.Stats
 }
-
-type localBackend struct{ srv *serve.Server }
-
-func (b localBackend) open(p string) (pusher, error) { return b.srv.Open(p) }
-func (b localBackend) events() <-chan serve.Event    { return b.srv.Events() }
-func (b localBackend) snapshot() serve.Stats         { return b.srv.Snapshot() }
-
-type clusterBackend struct{ r *Router }
-
-func (b clusterBackend) open(p string) (pusher, error) { return b.r.Open(p) }
-func (b clusterBackend) events() <-chan serve.Event    { return b.r.Events() }
-func (b clusterBackend) snapshot() serve.Stats         { return b.r.Snapshot() }
 
 // awaitSnapshot polls until cond holds; cluster counters are remote, so
 // assertions poll instead of relying on local synchronization.
@@ -154,7 +137,7 @@ func awaitSnapshot(t testing.TB, b backend, what string, cond func(serve.Stats) 
 	t.Helper()
 	deadline := time.Now().Add(90 * time.Second)
 	for {
-		st := b.snapshot()
+		st := b.Snapshot()
 		if cond(st) {
 			return st
 		}
@@ -177,7 +160,7 @@ func scenarioInner(t *testing.T, b backend, patients []string) (map[string]int, 
 	var alarmsMu sync.Mutex
 	alarms := map[string]int{}
 	eventsDone := make(chan struct{})
-	events := b.events()
+	events := b.Events()
 	go func() {
 		defer close(eventsDone)
 		for ev := range events {
@@ -189,9 +172,9 @@ func scenarioInner(t *testing.T, b backend, patients []string) (map[string]int, 
 		}
 	}()
 
-	handles := map[string]pusher{}
+	handles := map[string]*serve.Stream{}
 	for i, p := range patients {
-		h, err := b.open(p)
+		h, err := b.Open(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +269,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localAlarms, localStats := runScenario(t, localBackend{srv}, patients, srv.Close)
+	localAlarms, localStats := runScenario(t, srv, patients, srv.Close)
 	if localStats.EventsDropped != 0 {
 		t.Fatalf("local events dropped: %+v", localStats)
 	}
@@ -294,7 +277,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 		t.Fatal("local scenario raised no alarms; equivalence would be vacuous")
 	}
 
-	clusterAlarms, clusterStats := runScenario(t, clusterBackend{r}, patients, r.Close)
+	clusterAlarms, clusterStats := runScenario(t, r, patients, r.Close)
 	if clusterStats.EventsDropped != 0 {
 		t.Fatalf("cluster events dropped: %+v", clusterStats)
 	}
@@ -822,8 +805,10 @@ func TestShardServerSurvivesClientChurn(t *testing.T) {
 	}
 }
 
-// TestRouterValidation covers Dial's address hygiene and the
-// empty-patient guard.
+// TestRouterValidation covers Dial's address hygiene and the router
+// half of serve's TestOpenAndPushValidation: the empty-patient guard,
+// channel validation, every verb of a closed handle, and handle
+// accounting across a double Close.
 func TestRouterValidation(t *testing.T) {
 	if _, err := Dial(nil, Options{}); err == nil {
 		t.Fatal("Dial accepted an empty address list")
@@ -847,5 +832,93 @@ func TestRouterValidation(t *testing.T) {
 	}
 	if err := h.Push([]float64{0}, []float64{0}); err != ErrNoShards {
 		t.Fatalf("Push with all shards down = %v, want ErrNoShards", err)
+	}
+	if err := h.Push([]float64{1, 2}, []float64{1}); err == nil {
+		t.Fatal("mismatched channel lengths accepted")
+	}
+
+	h.Close()
+	h.Close() // idempotent
+	decl := serve.PrefilterConfig{Gate: rt.GateConfig{Factor: 2.5, HistoryWindows: 32}}
+	for name, verb := range map[string]func() error{
+		"Push":             func() error { return h.Push([]float64{0}, []float64{0}) },
+		"Confirm":          h.Confirm,
+		"DeclarePrefilter": func() error { return h.DeclarePrefilter(decl) },
+		"PushDigest":       func() error { return h.PushDigest(serve.Digest{Windows: 1}) },
+		"PushAudit":        func() error { return h.PushAudit([]float64{0}, []float64{0}) },
+	} {
+		if err := verb(); err != serve.ErrStreamClosed {
+			t.Errorf("%s on closed stream = %v, want ErrStreamClosed", name, err)
+		}
+	}
+	if st := r.Snapshot(); st.StreamsOpen != 0 {
+		t.Fatalf("StreamsOpen = %d after double Close, want 0", st.StreamsOpen)
+	}
+}
+
+// TestCloseRacesPush pins the close handshake both transports share:
+// pushes racing the backend's Close each get nil, ErrBackpressure or
+// ErrClosed — never a send on a closed queue — and Open after Close is
+// refused. Run it with -race -count=10.
+func TestCloseRacesPush(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start func(t *testing.T) (backend, func())
+	}{
+		{"local", func(t *testing.T) (backend, func()) {
+			srv, err := serve.New(testServerConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return srv, srv.Close
+		}},
+		{"router", func(t *testing.T) (backend, func()) {
+			shard := startShard(t, "127.0.0.1:0")
+			t.Cleanup(shard.stop)
+			r, err := Dial([]string{shard.addr()}, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(r.Close)
+			if err := r.WaitReady(10 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			return r, r.Close
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			servetest.CheckGoroutines(t)
+			b, closeBackend := tc.start(t)
+			rec := testRecording(t, 3, 8, -1, 0)
+			const pushers = 8
+			var wg sync.WaitGroup
+			for i := 0; i < pushers; i++ {
+				h, err := b.Open(fmt.Sprintf("race-%d", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for n := 0; ; n++ {
+						off := n % 8 * testRate
+						switch err := h.Push(rec.Data[0][off:off+testRate], rec.Data[1][off:off+testRate]); err {
+						case nil, serve.ErrBackpressure:
+						case serve.ErrClosed:
+							return
+						default:
+							t.Errorf("Push racing Close = %v", err)
+							return
+						}
+					}
+				}()
+			}
+			time.Sleep(20 * time.Millisecond)
+			closeBackend()
+			wg.Wait()
+			if _, err := b.Open("late"); err != serve.ErrClosed {
+				t.Fatalf("Open after Close = %v, want ErrClosed", err)
+			}
+		})
 	}
 }

@@ -17,8 +17,8 @@ import (
 // serve.Queue, so admission is byte-for-byte the local semantics), the
 // TCP connection, and the manage loop that keeps the two attached —
 // dial, Hello handshake, ping probe, teardown, reconnect with backoff.
-// It implements serve.Shard, so streams enqueue at it exactly as they
-// would at an in-process worker.
+// It implements serve.Shard, so a stream's route enqueues at it exactly
+// as a local stream does at an in-process worker.
 type shardConn struct {
 	r    *Router
 	addr string
@@ -71,7 +71,7 @@ func newShardConn(r *Router, addr string) *shardConn {
 
 // Enqueue implements serve.Shard. A down backend refuses immediately —
 // the queue would otherwise absorb QueueDepth jobs that may be stale by
-// reconnect time — and the stream's push path re-resolves to a healthy
+// reconnect time — and the stream's route re-resolves to a healthy
 // peer instead.
 func (sc *shardConn) Enqueue(p serve.AdmissionPolicy, j serve.Job) error {
 	if !sc.healthy.Load() {
@@ -82,9 +82,6 @@ func (sc *shardConn) Enqueue(p serve.AdmissionPolicy, j serve.Job) error {
 
 // Congested implements serve.Shard.
 func (sc *shardConn) Congested(p serve.AdmissionPolicy) bool { return sc.queue.FastReject(p) }
-
-// Depth implements serve.Shard.
-func (sc *shardConn) Depth() int { return sc.queue.Depth() }
 
 // manage is the connection's lifecycle loop, running until Router.Close.
 // Backoff is exponential (doubling, capped at 8× base) with equal

@@ -118,7 +118,7 @@ func TestClusterServesQuantizedBatches(t *testing.T) {
 	defer h.Close()
 	c0, c1 := adcSamples(12*testRate, 21), adcSamples(12*testRate, 22)
 	pushSamples(t, h, c0, c1)
-	awaitSnapshot(t, clusterBackend{r}, "windows from quantized batches", func(st serve.Stats) bool {
+	awaitSnapshot(t, r, "windows from quantized batches", func(st serve.Stats) bool {
 		return st.Windows > 0
 	})
 }

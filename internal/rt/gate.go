@@ -125,12 +125,13 @@ func (m *medianRing) Reset() {
 }
 
 // AmplitudeGate is the stage-1 amplitude pre-screen as a standalone
-// decision procedure over per-window mean absolute amplitudes. Admit
-// implements exactly the TwoStage gating rule: trigger (ship the
-// window) while the baseline is cold or when the amplitude reaches
-// Factor times the running median of recent non-triggering windows;
-// only non-triggering windows feed the baseline, so a long seizure
-// does not drag the threshold up after itself.
+// decision procedure over per-window mean absolute amplitudes — the
+// one gating rule TwoStage, the prefilter client and the shard audit
+// all run: trigger (ship the window) while the baseline is cold or
+// when the amplitude reaches Factor times the running median of recent
+// non-triggering windows; only non-triggering windows feed the
+// baseline, so a long seizure does not drag the threshold up after
+// itself.
 type AmplitudeGate struct {
 	cfg     GateConfig
 	history *medianRing
@@ -153,7 +154,7 @@ func (g *AmplitudeGate) Config() GateConfig { return g.cfg }
 // Threshold returns the current trigger level (Factor × running median)
 // and whether the baseline is warm enough to gate at all. While cold,
 // every window triggers (cold-start safety: never miss a seizure to
-// save uplink), mirroring TwoStage.
+// save uplink or classifier time).
 func (g *AmplitudeGate) Threshold() (float64, bool) {
 	if g.history.Len() < g.cfg.HistoryWindows/2 {
 		return 0, false
@@ -162,8 +163,8 @@ func (g *AmplitudeGate) Threshold() (float64, bool) {
 }
 
 // Admit processes one window's mean absolute amplitude and reports
-// whether the window must ship upstream (trigger). Baseline bookkeeping
-// is identical to TwoStage.Classify's.
+// whether the window must ship upstream, or reach TwoStage's expensive
+// stage (trigger).
 //
 //selflearn:hotpath
 func (g *AmplitudeGate) Admit(amp float64) bool {

@@ -83,7 +83,7 @@ func TestTwoStageEquivalence(t *testing.T) {
 	for start := 0; start+win <= n; start += hop {
 		w := data[start : start+win]
 		_, ran := ts.Classify(w, nil)
-		wantRan := ref.classify(meanAbs(w))
+		wantRan := ref.classify(BatchAmplitude(w, nil))
 		if ran != wantRan {
 			t.Fatalf("window at %ds: optimized trigger %v, reference %v", start/int(fs), ran, wantRan)
 		}
@@ -119,7 +119,7 @@ func TestAmplitudeGateMatchesTwoStage(t *testing.T) {
 	for start := 0; start+win <= n; start += hop {
 		w := data[start : start+win]
 		_, ran := ts.Classify(w, nil)
-		if ship := g.Admit(meanAbs(w)); ship != ran {
+		if ship := g.Admit(BatchAmplitude(w, nil)); ship != ran {
 			t.Fatalf("window at %ds: gate %v, TwoStage %v", start/int(fs), ship, ran)
 		}
 	}

@@ -12,21 +12,14 @@ import "fmt"
 // amplitude, so the gate is triggered by exactly the windows the
 // classifier must see.
 //
-// The adaptive baseline is a running median over recent interictal
-// amplitudes, maintained incrementally (gate.go's medianRing) instead
-// of re-sorting the history per window: Classify is allocation-free and
-// O(log h + h move) per window, with a median bit-identical to
-// stats.Median over the same history.
+// The pre-screen is gate.go's AmplitudeGate: its adaptive baseline is a
+// running median over recent interictal amplitudes, maintained
+// incrementally instead of re-sorting the history per window, so
+// Classify is allocation-free and O(log h + h move) per window, with a
+// median bit-identical to stats.Median over the same history.
 type TwoStage struct {
-	clf Classifier
-	// threshold on the window mean absolute amplitude, in multiples of
-	// the running background median.
-	factor float64
-	// history of recent amplitudes for the adaptive baseline.
-	history *medianRing
-	maxHist int
-	// counters for the invocation statistics.
-	windows, invoked int
+	clf  Classifier
+	gate *AmplitudeGate
 }
 
 // NewTwoStage wraps a window classifier with an amplitude pre-screen.
@@ -37,27 +30,11 @@ func NewTwoStage(clf Classifier, factor float64, historyWindows int) (*TwoStage,
 	if clf == nil {
 		return nil, fmt.Errorf("rt: nil classifier")
 	}
-	if err := (GateConfig{Factor: factor, HistoryWindows: historyWindows}).Validate(); err != nil {
+	gate, err := NewAmplitudeGate(GateConfig{Factor: factor, HistoryWindows: historyWindows})
+	if err != nil {
 		return nil, err
 	}
-	return &TwoStage{clf: clf, factor: factor, maxHist: historyWindows, history: newMedianRing(historyWindows)}, nil
-}
-
-// meanAbs is the mean absolute amplitude of the raw window.
-//
-//selflearn:hotpath
-func meanAbs(w []float64) float64 {
-	if len(w) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range w {
-		if v < 0 {
-			v = -v
-		}
-		s += v
-	}
-	return s / float64(len(w))
+	return &TwoStage{clf: clf, gate: gate}, nil
 }
 
 // Classify processes one analysis window: rawWindow is the time-domain
@@ -67,24 +44,9 @@ func meanAbs(w []float64) float64 {
 //
 //selflearn:hotpath
 func (t *TwoStage) Classify(rawWindow []float64, featureRow []float64) (pred, ranStage2 bool) {
-	ll := meanAbs(rawWindow)
-	t.windows++
-	// Build the baseline before gating; with insufficient history the
-	// expensive stage always runs (cold-start safety: never miss a
-	// seizure to save energy).
-	trigger := true
-	if t.history.Len() >= t.maxHist/2 {
-		trigger = ll >= t.factor*t.history.Median()
-	}
-	// Only interictal-looking windows feed the baseline, so a long
-	// seizure does not drag the threshold up after itself.
-	if !trigger || t.history.Len() < t.maxHist/2 {
-		t.history.Push(ll)
-	}
-	if !trigger {
+	if !t.gate.Admit(BatchAmplitude(rawWindow, nil)) {
 		return false, false
 	}
-	t.invoked++
 	return t.clf.Predict(featureRow), true
 }
 
@@ -92,14 +54,11 @@ func (t *TwoStage) Classify(rawWindow []float64, featureRow []float64) (pred, ra
 // expensive stage — the factor by which the detector's 75 % duty cycle
 // (and hence its 85.7 % energy share) shrinks.
 func (t *TwoStage) InvocationFraction() float64 {
-	if t.windows == 0 {
+	if t.gate.Windows() == 0 {
 		return 0
 	}
-	return float64(t.invoked) / float64(t.windows)
+	return float64(t.gate.Shipped()) / float64(t.gate.Windows())
 }
 
 // Reset clears the adaptive state and counters.
-func (t *TwoStage) Reset() {
-	t.history.Reset()
-	t.windows, t.invoked = 0, 0
-}
+func (t *TwoStage) Reset() { t.gate.Reset() }

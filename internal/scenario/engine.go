@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"selflearn/internal/cluster"
 	"selflearn/internal/eval"
 	"selflearn/internal/rt"
 	"selflearn/internal/serve"
@@ -15,29 +17,13 @@ import (
 	"selflearn/internal/wire"
 )
 
-// Backend is the serving surface the engine replays against. The local
-// implementation wraps an in-process serve.Server; cmd/loadgen supplies
-// one wrapping a cluster.Router so the same scenarios drive a shardd
-// fleet over TCP.
+// Backend is the serving surface the engine replays against: an
+// in-process *serve.Server, or a *cluster.Router in front of a shardd
+// fleet, as they are. Every handle call goes through retry; any error
+// it does not absorb aborts the scenario.
 type Backend interface {
-	Open(patient string) (Handle, error)
+	Open(patient string) (*serve.Stream, error)
 	Snapshot() serve.Stats
-}
-
-// Handle is one patient's stream handle; serve.Stream satisfies it.
-// Any call may return serve.ErrBackpressure, which the engine retries;
-// any other error aborts the scenario. Remote implementations are
-// expected to absorb their transient transport errors (failover in
-// flight) internally. The prefilter verbs carry the edge/cloud split's
-// uplink — declaration, digests and audit samples — and are called only
-// when the spec declares a prefilter.
-type Handle interface {
-	Push(c0, c1 []float64) error
-	Confirm() error
-	DeclarePrefilter(serve.PrefilterConfig) error
-	PushDigest(serve.Digest) error
-	PushAudit(c0, c1 []float64) error
-	Close()
 }
 
 // Collector accumulates the event-side outcomes of a run: per-patient
@@ -487,7 +473,7 @@ func (w *Workload) runPatient(b Backend, c *Collector, ps PatientStream, fs int,
 // the completed digest flushes first (the shard's mirror consumes
 // amplitudes in stream order), then the batch crosses as a full push,
 // an audit sample, or not at all.
-func pushGated(h Handle, id string, sec int, c0, c1 []float64, a serve.PrefilterAction, meter *uplinkMeter) error {
+func pushGated(h *serve.Stream, id string, sec int, c0, c1 []float64, a serve.PrefilterAction, meter *uplinkMeter) error {
 	if a.Flush.Windows > 0 {
 		if err := retry(func() error { return h.PushDigest(a.Flush) }); err != nil {
 			return fmt.Errorf("scenario: %s digest at %d: %w", id, sec, err)
@@ -517,15 +503,30 @@ func wavePhase(id string, period float64) float64 {
 	return float64(h.Sum64() % uint64(period))
 }
 
+// Outage retry budget: a cluster backend's shard outage (a patient
+// failing over) is retried for up to outageRetries × outageBackoff.
+const (
+	outageRetries = 600
+	outageBackoff = 50 * time.Millisecond
+)
+
 // retry repeats one handle call while the backend answers
-// serve.ErrBackpressure — the gateway's buffer-and-resend policy.
+// serve.ErrBackpressure — the gateway's buffer-and-resend policy — and,
+// within the outage budget, while a cluster backend reports
+// cluster.ErrShardDown or cluster.ErrNoShards.
 func retry(op func() error) error {
+	outages := 0
 	for {
 		err := op()
-		if err != serve.ErrBackpressure {
+		switch {
+		case err == serve.ErrBackpressure:
+			time.Sleep(time.Millisecond)
+		case (errors.Is(err, cluster.ErrShardDown) || errors.Is(err, cluster.ErrNoShards)) && outages < outageRetries:
+			outages++
+			time.Sleep(outageBackoff)
+		default:
 			return err
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -592,7 +593,7 @@ func RunLocal(spec Spec) (*Result, error) {
 		return nil, err
 	}
 	defer srv.Close()
-	return w.Run(localBackend{srv}, c)
+	return w.Run(srv, c)
 }
 
 // NewLocalServer builds a serve.Server sized and configured for the
@@ -612,30 +613,16 @@ func NewLocalServer(w *Workload, c *Collector) (*serve.Server, error) {
 			Hop:          time.Second,
 		},
 	}
-	opts := []serve.Option{serve.WithEventSink(c.Observe), serve.WithEventBuffer(4096)}
-	switch spec.Admission {
-	case "drop":
-		opts = append(opts, serve.WithAdmission(serve.DropOnFull()))
-	case "shed":
-		opts = append(opts, serve.WithAdmission(serve.ShedOldest()))
-	default:
-		opts = append(opts, serve.WithAdmission(serve.BlockWithDeadline(0)))
+	adm, err := serve.ParseAdmission(spec.Admission, 0)
+	if err != nil {
+		return nil, err
 	}
+	opts := []serve.Option{serve.WithEventSink(c.Observe), serve.WithEventBuffer(4096), serve.WithAdmission(adm)}
 	if spec.Quality != nil {
 		opts = append(opts, serve.WithQualityGate(*spec.Quality))
 	}
 	return serve.New(cfg, opts...)
 }
-
-// LocalBackend adapts an in-process server to the engine. The caller
-// owns the server's lifecycle and must have routed its events into the
-// run's collector (NewLocalServer wires both).
-func LocalBackend(srv *serve.Server) Backend { return localBackend{srv} }
-
-type localBackend struct{ srv *serve.Server }
-
-func (b localBackend) Open(p string) (Handle, error) { return b.srv.Open(p) }
-func (b localBackend) Snapshot() serve.Stats         { return b.srv.Snapshot() }
 
 // statsDelta subtracts a baseline snapshot's cumulative counters so
 // scenario accounting holds against fleets that served earlier runs.

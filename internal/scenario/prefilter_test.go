@@ -55,7 +55,7 @@ func TestPrefilterWitness(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		res, err := w.Run(LocalBackend(srv), c)
+		res, err := w.Run(srv, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -257,10 +257,8 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown source kind %q", s.Source.Kind)
 	}
-	switch s.Admission {
-	case "block", "drop", "shed":
-	default:
-		return fmt.Errorf("scenario: unknown admission %q (want block, drop or shed)", s.Admission)
+	if _, err := serve.ParseAdmission(s.Admission, 0); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	if s.Seizures.Count > 0 && s.Source.Kind == "synth" {
 		last := s.Seizures.First + float64(s.Seizures.Count-1)*s.Seizures.Gap + s.Seizures.Duration

@@ -1,6 +1,9 @@
 package serve
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // AdmissionPolicy decides what happens when a shard queue is full. The
 // zero-configuration default is DropOnFull — the wearable gateway owns
@@ -22,6 +25,21 @@ type AdmissionPolicy interface {
 	// a policy must tolerate anyway. It runs outside any lock and must
 	// not block.
 	fastReject(q *Queue) bool
+}
+
+// ParseAdmission returns the policy a configuration names: "drop"
+// (DropOnFull), "block" (BlockWithDeadline(blockDeadline)) or "shed"
+// (ShedOldest).
+func ParseAdmission(name string, blockDeadline time.Duration) (AdmissionPolicy, error) {
+	switch name {
+	case "drop":
+		return DropOnFull(), nil
+	case "block":
+		return BlockWithDeadline(blockDeadline), nil
+	case "shed":
+		return ShedOldest(), nil
+	}
+	return nil, fmt.Errorf("serve: unknown admission %q (want drop, block or shed)", name)
 }
 
 // DropOnFull rejects immediately when the shard queue is full — the

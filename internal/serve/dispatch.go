@@ -105,9 +105,6 @@ func (w *worker) Enqueue(p AdmissionPolicy, j Job) error { return w.queue.Offer(
 // Congested implements Shard.
 func (w *worker) Congested(p AdmissionPolicy) bool { return w.queue.FastReject(p) }
 
-// Depth implements Shard.
-func (w *worker) Depth() int { return w.queue.Depth() }
-
 // drainJob is one admitted batch job's place in a coalesced drain: its
 // session, its row span [lo, hi) in the shared row arena, and the model
 // pointer captured at admission time (so a learner publish landing
@@ -217,7 +214,7 @@ func (w *worker) admit(d *drain, j Job, historyRows int) {
 		!qualityOK(w.srv.quality, j.C0, j.C1, w.srv.cfg.SampleRate) {
 		w.srv.qualityRejected.Add(1)
 		if j.Stream != nil {
-			j.Stream.NoteRejected()
+			j.Stream.rejected.Add(1)
 		}
 		w.srv.hub.emit(Event{Kind: EventQualityReject, Patient: j.Patient})
 		return
@@ -351,12 +348,12 @@ func (w *worker) settle(d *drain) {
 		fired := ji.sess.pushAlarms(d.preds[ji.lo:ji.hi])
 		w.srv.windows.Add(uint64(nRows))
 		if ji.j.Stream != nil {
-			ji.j.Stream.NoteWindows(nRows)
+			ji.j.Stream.windows.Add(uint64(nRows))
 		}
 		if len(fired) > 0 {
 			w.srv.alarms.Add(uint64(len(fired)))
 			if ji.j.Stream != nil {
-				ji.j.Stream.NoteAlarms(len(fired))
+				ji.j.Stream.alarms.Add(uint64(len(fired)))
 			}
 			for _, at := range fired {
 				w.srv.hub.emit(Event{Kind: EventAlarm, Patient: ji.j.Patient, StreamTime: at})

@@ -43,7 +43,8 @@ import (
 // replay harness may drop.
 var ErrBackpressure = errors.New("serve: worker queue full")
 
-// ErrClosed is returned by Open, Push and Confirm after Server.Close.
+// ErrClosed is returned by Open, Push and Confirm after Server.Close
+// or cluster.Router.Close.
 var ErrClosed = errors.New("serve: server closed")
 
 // Config sizes the serving subsystem. The zero value of every field
@@ -212,10 +213,10 @@ type Stats struct {
 // Server is the concurrent multi-patient serving subsystem. Its
 // streams reach their shards through the local transport (the
 // in-process worker pool); internal/cluster serves the same workload
-// shape across shardd processes with the same Stream surface.
+// shape across shardd processes with the same Stream handles.
 type Server struct {
 	cfg       Config
-	admission AdmissionPolicy
+	in        *Intake
 	quality   *signal.QualityConfig // nil = no quality gate
 	transport *localTransport
 	learner   *learner
@@ -223,36 +224,24 @@ type Server struct {
 	hub       *eventHub
 	start     time.Time
 
-	mu     sync.RWMutex // guards closed against in-flight Open/Push/Confirm
-	closed bool
-	// closedFast mirrors closed for lock-free reads on the Push fast
-	// paths (set in Close before the workers drain); the mutex remains
-	// the authority for the channel-close handshake.
-	closedFast atomic.Bool
-
 	// snapMu guards the rate-sampling state behind Stats.WindowsPerSec.
 	snapMu      sync.Mutex
 	lastSnap    time.Time
 	lastWindows uint64
 	lastRate    float64
 
-	sessions         atomic.Int64
-	streamsOpen      atomic.Int64
-	sessionsCreated  atomic.Uint64
-	sessionsEvicted  atomic.Uint64
-	batches          atomic.Uint64
-	batchesDropped   atomic.Uint64
-	batchesShed      atomic.Uint64
-	qualityRejected  atomic.Uint64
-	windows          atomic.Uint64
-	alarms           atomic.Uint64
-	confirms         atomic.Uint64
-	confirmsRejected atomic.Uint64
-	confirmsDropped  atomic.Uint64
-	retrains         atomic.Uint64
-	retrainErrors    atomic.Uint64
-	streamErrors     atomic.Uint64
-	storeErrors      atomic.Uint64
+	sessions        atomic.Int64
+	sessionsCreated atomic.Uint64
+	sessionsEvicted atomic.Uint64
+	batchesShed     atomic.Uint64
+	qualityRejected atomic.Uint64
+	windows         atomic.Uint64
+	alarms          atomic.Uint64
+	confirmsDropped atomic.Uint64
+	retrains        atomic.Uint64
+	retrainErrors   atomic.Uint64
+	streamErrors    atomic.Uint64
+	storeErrors     atomic.Uint64
 
 	windowsSuppressed  atomic.Uint64
 	auditSamples       atomic.Uint64
@@ -290,7 +279,7 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 			return nil, err
 		}
 	}
-	s := &Server{cfg: cfg, admission: so.admission, quality: so.quality, start: time.Now()}
+	s := &Server{cfg: cfg, in: NewIntake(so.admission), quality: so.quality, start: time.Now()}
 	s.lastSnap = s.start
 	s.hub = newEventHub(so.eventBuffer, so.sink)
 	s.cache = newModelCache(cfg.ModelCacheSize, so.store, func(error) { s.storeErrors.Add(1) })
@@ -335,64 +324,33 @@ func shardHash(patientID string) uint32 {
 	return h
 }
 
-// enqueue runs one job through the admission policy against the
-// stream's shard, maintaining the server-wide accept/reject counters.
-// The read lock is the closed handshake: Close takes the write lock
-// before closing the shard queues, so no admit is in flight when they
-// close.
-func (s *Server) enqueue(sh Shard, j Job) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	err := sh.Enqueue(s.admission, j) //selflearn:locked-ok the read lock is the closed handshake documented above
-	switch {
-	case err == nil && j.Confirm:
-		s.confirms.Add(1)
-	case err == nil:
-		s.batches.Add(1)
-	case j.Confirm:
-		s.confirmsRejected.Add(1)
-	default:
-		s.batchesDropped.Add(1)
-	}
-	return err
-}
-
 // Snapshot returns current serving statistics. Snapshot is also the
 // rate sampling point: WindowsPerSec covers the interval since the
 // previous Snapshot call, so a periodic stats loop sees the current
 // rate rather than a lifetime average diluted by hours of history.
 func (s *Server) Snapshot() Stats {
 	now := time.Now()
-	st := Stats{
-		Sessions:           int(s.sessions.Load()),
-		StreamsOpen:        int(s.streamsOpen.Load()),
-		SessionsCreated:    s.sessionsCreated.Load(),
-		SessionsEvicted:    s.sessionsEvicted.Load(),
-		Batches:            s.batches.Load(),
-		BatchesDropped:     s.batchesDropped.Load(),
-		BatchesShed:        s.batchesShed.Load(),
-		QualityRejected:    s.qualityRejected.Load(),
-		Windows:            s.windows.Load(),
-		Alarms:             s.alarms.Load(),
-		Confirms:           s.confirms.Load(),
-		ConfirmsRejected:   s.confirmsRejected.Load(),
-		ConfirmsDropped:    s.confirmsDropped.Load(),
-		Retrains:           s.retrains.Load(),
-		RetrainErrors:      s.retrainErrors.Load(),
-		StreamErrors:       s.streamErrors.Load(),
-		ModelsCached:       s.cache.Len(),
-		StoreErrors:        s.storeErrors.Load(),
-		WindowsSuppressed:  s.windowsSuppressed.Load(),
-		AuditSamples:       s.auditSamples.Load(),
-		AuditDisagreements: s.auditDisagreements.Load(),
-		PrefilterDrift:     s.prefilterDrift.Load(),
-		EventsDropped:      s.hub.dropped.Load(),
-		QueueDepth:         s.transport.Depth(),
-		Uptime:             now.Sub(s.start),
-	}
+	st := s.in.Counts()
+	st.Sessions = int(s.sessions.Load())
+	st.SessionsCreated = s.sessionsCreated.Load()
+	st.SessionsEvicted = s.sessionsEvicted.Load()
+	st.BatchesShed = s.batchesShed.Load()
+	st.QualityRejected = s.qualityRejected.Load()
+	st.Windows = s.windows.Load()
+	st.Alarms = s.alarms.Load()
+	st.ConfirmsDropped = s.confirmsDropped.Load()
+	st.Retrains = s.retrains.Load()
+	st.RetrainErrors = s.retrainErrors.Load()
+	st.StreamErrors = s.streamErrors.Load()
+	st.ModelsCached = s.cache.Len()
+	st.StoreErrors = s.storeErrors.Load()
+	st.WindowsSuppressed = s.windowsSuppressed.Load()
+	st.AuditSamples = s.auditSamples.Load()
+	st.AuditDisagreements = s.auditDisagreements.Load()
+	st.PrefilterDrift = s.prefilterDrift.Load()
+	st.EventsDropped = s.hub.dropped.Load()
+	st.QueueDepth = s.transport.Depth()
+	st.Uptime = now.Sub(s.start)
 	st.WindowsPerSec = s.sampleWindowRate(now)
 	return st
 }
@@ -456,9 +414,9 @@ func (s *Server) InstallModel(patientID string, f *forest.FlatForest, version ui
 	if patientID == "" || f == nil || version == 0 {
 		return false
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
+	s.in.mu.RLock()
+	defer s.in.mu.RUnlock()
+	if s.in.closed {
 		return false
 	}
 	if !s.cache.Install(patientID, f, version) { //selflearn:locked-ok the read lock is the closed handshake; Close's write lock waits installs out
@@ -475,14 +433,9 @@ func (s *Server) InstallModel(patientID string, f *forest.FlatForest, version ui
 // in flight (BlockWithDeadline) delays Close by at most its deadline.
 // Close is idempotent.
 func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.in.Close() {
 		return
 	}
-	s.closed = true
-	s.closedFast.Store(true)
-	s.mu.Unlock()
 	s.transport.Close()
 	s.learner.close()
 	s.hub.close()

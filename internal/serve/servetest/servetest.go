@@ -7,7 +7,6 @@
 package servetest
 
 import (
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,27 +22,6 @@ type Harness struct {
 	Drain func() (serve.Job, bool)
 }
 
-// Observer counts per-stream attribution, standing in for a session
-// handle on jobs the suite enqueues.
-type Observer struct {
-	Sheds    atomic.Uint64
-	Windows  atomic.Uint64
-	Alarms   atomic.Uint64
-	Rejected atomic.Uint64
-}
-
-// NoteShed implements serve.StreamObserver.
-func (o *Observer) NoteShed() { o.Sheds.Add(1) }
-
-// NoteRejected implements serve.StreamObserver.
-func (o *Observer) NoteRejected() { o.Rejected.Add(1) }
-
-// NoteWindows implements serve.StreamObserver.
-func (o *Observer) NoteWindows(n int) { o.Windows.Add(uint64(n)) }
-
-// NoteAlarms implements serve.StreamObserver.
-func (o *Observer) NoteAlarms(n int) { o.Alarms.Add(uint64(n)) }
-
 // RunAdmissionSuite runs the shared admission-policy suite. mk must
 // return a fresh idle harness whose shard queue holds at most depth
 // jobs and has no concurrent consumer. The suite doubles as a leak
@@ -51,8 +29,18 @@ func (o *Observer) NoteAlarms(n int) { o.Alarms.Add(uint64(n)) }
 // drain helpers) must be gone once its cleanup has run.
 func RunAdmissionSuite(t *testing.T, mk func(t *testing.T, depth int) Harness) {
 	CheckGoroutines(t)
-	batch := func(patient string, obs *Observer) serve.Job {
-		return serve.Job{Patient: patient, C0: []float64{0}, C1: []float64{0}, Stream: obs}
+	batch := func(patient string, st *serve.Stream) serve.Job {
+		return serve.Job{Patient: patient, C0: []float64{0}, C1: []float64{0}, Stream: st}
+	}
+	// open returns a real handle on h's shard, so shed attribution is
+	// read back through the handle's own Stats.
+	open := func(t *testing.T, h Harness, patient string) *serve.Stream {
+		t.Helper()
+		st, err := serve.NewIntake(nil).Open(patient, h.Shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
 	}
 	confirm := func(patient string) serve.Job {
 		return serve.Job{Patient: patient, Confirm: true}
@@ -136,7 +124,7 @@ func RunAdmissionSuite(t *testing.T, mk func(t *testing.T, depth int) Harness) {
 	t.Run("ShedOldestDiscardsOldest", func(t *testing.T) {
 		h := mk(t, 2)
 		p := serve.ShedOldest()
-		victim, survivor := &Observer{}, &Observer{}
+		victim, survivor := open(t, h, "old-0"), open(t, h, "old-1")
 		if err := h.Shard.Enqueue(p, batch("old-0", victim)); err != nil {
 			t.Fatal(err)
 		}
@@ -147,10 +135,10 @@ func RunAdmissionSuite(t *testing.T, mk func(t *testing.T, depth int) Harness) {
 		if err := h.Shard.Enqueue(p, batch("fresh", nil)); err != nil {
 			t.Fatalf("enqueue on full queue = %v, want nil", err)
 		}
-		if got := victim.Sheds.Load(); got != 1 {
+		if got := victim.Stats().BatchesShed; got != 1 {
 			t.Fatalf("oldest stream sheds = %d, want 1", got)
 		}
-		if got := survivor.Sheds.Load(); got != 0 {
+		if got := survivor.Stats().BatchesShed; got != 0 {
 			t.Fatalf("surviving stream sheds = %d, want 0", got)
 		}
 		var order []string
@@ -169,7 +157,7 @@ func RunAdmissionSuite(t *testing.T, mk func(t *testing.T, depth int) Harness) {
 	t.Run("ShedOldestPreservesConfirms", func(t *testing.T) {
 		h := mk(t, 3)
 		p := serve.ShedOldest()
-		obs := &Observer{}
+		obs := open(t, h, "p")
 		if err := h.Shard.Enqueue(p, confirm("p")); err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +172,7 @@ func RunAdmissionSuite(t *testing.T, mk func(t *testing.T, depth int) Harness) {
 		if err := h.Shard.Enqueue(p, batch("p", obs)); err != nil {
 			t.Fatalf("enqueue = %v, want nil", err)
 		}
-		if got := obs.Sheds.Load(); got != 1 {
+		if got := obs.Stats().BatchesShed; got != 1 {
 			t.Fatalf("sheds = %d, want 1", got)
 		}
 		confirms, batches := 0, 0

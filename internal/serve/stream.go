@@ -3,25 +3,127 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
-// ErrStreamClosed is returned by Push and Confirm on a closed Stream.
+// ErrStreamClosed is returned by every verb of a closed Stream.
 var ErrStreamClosed = errors.New("serve: stream closed")
 
-// Stream is a per-patient session handle returned by Server.Open. The
-// patient's shard is resolved once at Open — the handle enqueues
-// through the Shard seam and never touches a worker directly — and
-// the per-batch path is hash-free; the handle also carries per-stream
-// counters. A Stream's methods are safe for concurrent use, but batches
-// Pushed concurrently race for queue order — a wearable gateway should
-// Push each patient's stream from one goroutine.
+// Intake is the client side both transports share: it opens Stream
+// handles, runs their jobs through one admission policy under the close
+// handshake, and counts handles, batches and confirmations. Server
+// opens its handles on in-process workers; internal/cluster's Router
+// opens them on per-stream routes to shardd processes. Only the Shard
+// differs.
+type Intake struct {
+	admission AdmissionPolicy
+
+	mu     sync.RWMutex // guards closed against in-flight Open/enqueue
+	closed bool
+	// closedFast mirrors closed for lock-free reads on the Push fast
+	// paths (set by Close before the owner drains its queues); the
+	// mutex remains the authority for the close handshake.
+	closedFast atomic.Bool
+
+	streamsOpen      atomic.Int64
+	batches          atomic.Uint64
+	batchesDropped   atomic.Uint64
+	confirms         atomic.Uint64
+	confirmsRejected atomic.Uint64
+}
+
+// NewIntake returns an open intake whose handles admit jobs under p;
+// nil means DropOnFull.
+func NewIntake(p AdmissionPolicy) *Intake {
+	if p == nil {
+		p = DropOnFull()
+	}
+	return &Intake{admission: p}
+}
+
+// Open returns a handle for streaming patientID's samples to sh. The
+// shard is resolved by the caller, once; Push and Confirm are then
+// queue operations only.
+func (in *Intake) Open(patientID string, sh Shard) (*Stream, error) {
+	if patientID == "" {
+		return nil, errors.New("serve: empty patient ID")
+	}
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	if in.closed {
+		return nil, ErrClosed
+	}
+	in.streamsOpen.Add(1)
+	return &Stream{in: in, patient: patientID, shard: sh}, nil
+}
+
+// Close refuses every later Open and enqueue with ErrClosed. It takes
+// the write lock, so once it returns no enqueue is in flight and the
+// owner may close its shard queues. It reports true only for the call
+// that closed the intake.
+func (in *Intake) Close() bool {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.closed {
+		return false
+	}
+	in.closed = true
+	in.closedFast.Store(true)
+	return true
+}
+
+// Counts returns the intake's counters in StreamsOpen, Batches,
+// BatchesDropped, Confirms and ConfirmsRejected; every other field is
+// zero.
+func (in *Intake) Counts() Stats {
+	return Stats{
+		StreamsOpen:      int(in.streamsOpen.Load()),
+		Batches:          in.batches.Load(),
+		BatchesDropped:   in.batchesDropped.Load(),
+		Confirms:         in.confirms.Load(),
+		ConfirmsRejected: in.confirmsRejected.Load(),
+	}
+}
+
+// enqueue runs one job through the admission policy against the
+// stream's shard, maintaining the intake's accept/reject counters.
+// The read lock is the close handshake: Close takes the write lock, so
+// no admit is in flight when the owner closes its shard queues.
+func (in *Intake) enqueue(sh Shard, j Job) error {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	if in.closed {
+		return ErrClosed
+	}
+	err := sh.Enqueue(in.admission, j) //selflearn:locked-ok the read lock is the close handshake documented above
+	switch {
+	case err == nil && j.Confirm:
+		in.confirms.Add(1)
+	case err == nil:
+		in.batches.Add(1)
+	case j.Confirm:
+		in.confirmsRejected.Add(1)
+	default:
+		in.batchesDropped.Add(1)
+	}
+	return err
+}
+
+// Stream is a per-patient session handle returned by Server.Open and
+// cluster.Router.Open. The patient's shard is resolved once at Open —
+// the handle enqueues through the Shard seam and never touches a
+// worker or a connection directly — and the per-batch path is
+// hash-free; the handle also carries per-stream counters. A Stream's
+// methods are safe for concurrent use, but batches Pushed concurrently
+// race for queue order — a wearable gateway should Push each patient's
+// stream from one goroutine.
 //
 // Multiple handles may be open for the same patient (e.g. a hospital
 // gateway and a home gateway across a transfer); they share the
 // server-side session, and each handle's stats count only its own traffic.
 type Stream struct {
-	srv     *Server
+	in      *Intake
 	patient string
 	shard   Shard
 	closed  atomic.Bool
@@ -41,7 +143,8 @@ type StreamStats struct {
 	Patient string
 	// Batches counts accepted Pushes; BatchesDropped counts Pushes
 	// rejected with ErrBackpressure; BatchesShed counts batches accepted
-	// but later discarded by a ShedOldest admission elsewhere on the shard.
+	// but later discarded by a ShedOldest admission elsewhere on the
+	// shard, or lost in transit by a cluster connection that died.
 	Batches        uint64
 	BatchesDropped uint64
 	BatchesShed    uint64
@@ -51,7 +154,10 @@ type StreamStats struct {
 	// Confirms counts accepted confirmations.
 	Confirms uint64
 	// Windows and Alarms count feature windows classified and alarms
-	// raised from this handle's batches.
+	// raised from this handle's batches. QualityRejected, Windows and
+	// Alarms advance only on in-process handles; a cluster handle's
+	// batches are served remotely and report through events and
+	// Router.Snapshot instead.
 	Windows uint64
 	Alarms  uint64
 }
@@ -62,39 +168,24 @@ type StreamStats struct {
 // the first batch — so an Open/Close pair with no traffic costs nothing
 // on the workers.
 func (s *Server) Open(patientID string) (*Stream, error) {
-	if patientID == "" {
-		return nil, errors.New("serve: empty patient ID")
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	s.streamsOpen.Add(1)
-	return &Stream{srv: s, patient: patientID, shard: s.transport.shard(patientID)}, nil
+	return s.in.Open(patientID, s.transport.shard(patientID))
 }
 
 // Patient returns the stream's patient ID.
 func (st *Stream) Patient() string { return st.patient }
 
-// NoteShed, NoteWindows and NoteAlarms implement StreamObserver: the
-// shard side of the transport attributes outcomes back to this handle.
+// NoteShed records one of the stream's accepted batches discarded on
+// the shard side of a transport: shed by ShedOldest admission, or lost
+// in transit by a cluster connection that died.
 func (st *Stream) NoteShed() { st.shed.Add(1) }
-
-// NoteWindows implements StreamObserver.
-func (st *Stream) NoteWindows(n int) { st.windows.Add(uint64(n)) }
-
-// NoteRejected implements StreamObserver.
-func (st *Stream) NoteRejected() { st.rejected.Add(1) }
-
-// NoteAlarms implements StreamObserver.
-func (st *Stream) NoteAlarms(n int) { st.alarms.Add(uint64(n)) }
 
 // Push enqueues one batch of synchronized two-channel samples. It
 // returns ErrBackpressure when the stream's admission policy gives up
-// on a full shard queue (the caller owns the retry), and ErrClosed /
-// ErrStreamClosed after the server or this handle closed. The server
-// takes ownership of the slices.
+// on a full shard queue (the caller owns the retry), ErrClosed /
+// ErrStreamClosed after the intake's owner or this handle closed, and
+// any other error the shard returns — a cluster route's outage errors,
+// which the caller retries like backpressure. The transport takes
+// ownership of the slices.
 func (st *Stream) Push(c0, c1 []float64) error {
 	if st.closed.Load() {
 		return ErrStreamClosed
@@ -109,15 +200,15 @@ func (st *Stream) Push(c0, c1 []float64) error {
 	// queue get to say so before the lock is taken and the job built.
 	// The closed check comes first so a closed server keeps returning
 	// ErrClosed (not ErrBackpressure) while its shard queues drain.
-	if st.srv.closedFast.Load() {
+	if st.in.closedFast.Load() {
 		return ErrClosed
 	}
-	if st.shard.Congested(st.srv.admission) {
-		st.srv.batchesDropped.Add(1)
+	if st.shard.Congested(st.in.admission) {
+		st.in.batchesDropped.Add(1)
 		st.dropped.Add(1)
 		return ErrBackpressure
 	}
-	err := st.srv.enqueue(st.shard, Job{Patient: st.patient, Stream: st, C0: c0, C1: c1})
+	err := st.in.enqueue(st.shard, Job{Patient: st.patient, Stream: st, C0: c0, C1: c1})
 	switch err {
 	case nil:
 		st.batches.Add(1)
@@ -139,7 +230,7 @@ func (st *Stream) DeclarePrefilter(cfg PrefilterConfig) error {
 		return ErrStreamClosed
 	}
 	c := cfg
-	return st.srv.enqueue(st.shard, Job{Patient: st.patient, Stream: st, Declare: &c})
+	return st.in.enqueue(st.shard, Job{Patient: st.patient, Stream: st, Declare: &c})
 }
 
 // PushDigest reports a span of suppressed windows (a
@@ -152,11 +243,11 @@ func (st *Stream) PushDigest(d Digest) error {
 	if st.closed.Load() {
 		return ErrStreamClosed
 	}
-	if st.srv.closedFast.Load() {
+	if st.in.closedFast.Load() {
 		return ErrClosed
 	}
 	dd := d
-	err := st.srv.enqueue(st.shard, Job{Patient: st.patient, Stream: st, Digest: &dd})
+	err := st.in.enqueue(st.shard, Job{Patient: st.patient, Stream: st, Digest: &dd})
 	if err == nil {
 		st.batches.Add(1)
 	}
@@ -178,10 +269,10 @@ func (st *Stream) PushAudit(c0, c1 []float64) error {
 	if len(c0) == 0 {
 		return nil
 	}
-	if st.srv.closedFast.Load() {
+	if st.in.closedFast.Load() {
 		return ErrClosed
 	}
-	err := st.srv.enqueue(st.shard, Job{Patient: st.patient, Stream: st, C0: c0, C1: c1, Audit: true})
+	err := st.in.enqueue(st.shard, Job{Patient: st.patient, Stream: st, C0: c0, C1: c1, Audit: true})
 	if err == nil {
 		st.batches.Add(1)
 	}
@@ -195,7 +286,7 @@ func (st *Stream) Confirm() error {
 	if st.closed.Load() {
 		return ErrStreamClosed
 	}
-	err := st.srv.enqueue(st.shard, Job{Patient: st.patient, Stream: st, Confirm: true})
+	err := st.in.enqueue(st.shard, Job{Patient: st.patient, Stream: st, Confirm: true})
 	if err == nil {
 		st.confirms.Add(1)
 	}
@@ -224,6 +315,6 @@ func (st *Stream) Stats() StreamStats {
 // and resumes warm. Close is idempotent.
 func (st *Stream) Close() {
 	if !st.closed.Swap(true) {
-		st.srv.streamsOpen.Add(-1)
+		st.in.streamsOpen.Add(-1)
 	}
 }

@@ -1,11 +1,12 @@
 package serve
 
-// This file holds what the serving layer's two transports share: the
-// goroutine worker pool in this process (localTransport, dispatch.go)
-// and the cluster client's per-shard senders to shardd processes
-// (internal/cluster). A handle resolves its patient to a Shard once at
-// Open, then pushes admission-governed Jobs at it, so the zero-alloc
-// local hot path and the TCP path share one admission layer and one
+// This file holds what the serving layer's two transports share below
+// the Stream handle (stream.go): the goroutine worker pool in this
+// process (localTransport, dispatch.go) and the cluster client's
+// per-shard senders to shardd processes (internal/cluster). An Intake
+// opens each handle on a Shard resolved once, then pushes
+// admission-governed Jobs at it, so the zero-alloc local hot path and
+// the TCP path share one handle type, one admission layer and one
 // behavioral test suite (internal/serve/servetest).
 
 // Job is one unit of shard input crossing a transport: a sample batch
@@ -25,30 +26,12 @@ type Job struct {
 	Declare *PrefilterConfig
 	Digest  *Digest
 	Audit   bool
-	// Stream observes per-stream outcomes for the handle that produced
-	// the job (shed counts on discard; windows/alarms on local
-	// processing). Nil for jobs without an attached handle.
-	Stream StreamObserver
-}
-
-// StreamObserver receives per-stream attribution from the shard side of
-// a transport. *Stream implements it for local handles; the cluster
-// client's handles implement it for jobs queued toward a remote shard.
-type StreamObserver interface {
-	// NoteShed records one of the stream's accepted batches being
-	// discarded (ShedOldest admission, or a cluster transport dropping
-	// in-flight jobs when its connection died).
-	NoteShed()
-	// NoteWindows and NoteAlarms record feature windows classified and
-	// alarms raised from the stream's batches. Only the local transport
-	// calls these; remote attribution arrives as events instead.
-	NoteWindows(n int)
-	NoteAlarms(n int)
-	// NoteRejected records one of the stream's accepted batches refused
-	// by the quality gate before feature extraction. Only the local
-	// transport calls it; remote rejections arrive as EventQualityReject
-	// events.
-	NoteRejected()
+	// Stream is the handle that produced the job, credited with its
+	// outcomes: sheds on discard by either transport; quality
+	// rejections, windows and alarms on local processing only, since a
+	// remote shard reports those as events. Nil for jobs without an
+	// attached handle.
+	Stream *Stream
 }
 
 // QueueHooks observe queue-level outcomes that bypass the caller: jobs
@@ -112,8 +95,8 @@ func (q *Queue) Depth() int { return len(q.jobs) }
 func (q *Queue) Cap() int { return cap(q.jobs) }
 
 // Close closes the consumer channel. No Offer may be in flight or
-// follow — owners serialize Close against producers (Server does it
-// under its closed-handshake lock).
+// follow — owners serialize Close against producers (Server closes its
+// Intake first).
 func (q *Queue) Close() { close(q.jobs) }
 
 // noteShed records an admitted batch discarded to make room: per-stream
@@ -142,8 +125,6 @@ type Shard interface {
 	// Congested reports whether p would certainly refuse a job now —
 	// the pre-lock fast path of Stream.Push.
 	Congested(p AdmissionPolicy) bool
-	// Depth returns the number of jobs waiting on this shard.
-	Depth() int
 }
 
 // QueueShard adapts a bare Queue into a Shard — the building block
@@ -155,4 +136,3 @@ type queueShard struct{ q *Queue }
 
 func (s queueShard) Enqueue(p AdmissionPolicy, j Job) error { return s.q.Offer(p, j) }
 func (s queueShard) Congested(p AdmissionPolicy) bool       { return s.q.FastReject(p) }
-func (s queueShard) Depth() int                             { return s.q.Depth() }
