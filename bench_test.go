@@ -18,10 +18,7 @@ import (
 	"selflearn/internal/eval"
 	"selflearn/internal/features"
 	"selflearn/internal/fixedpoint"
-	"selflearn/internal/ml/cluster"
 	"selflearn/internal/ml/forest"
-	"selflearn/internal/ml/knn"
-	"selflearn/internal/ml/svm"
 	"selflearn/internal/pipeline"
 	"selflearn/internal/platform"
 )
@@ -341,18 +338,6 @@ func BenchmarkAblation_FixedPointLabeling(b *testing.B) {
 	}
 }
 
-// A5 — ablation: multi-core offline labeling.
-
-func BenchmarkAblation_ParallelLabeling(b *testing.B) {
-	X := ablationMatrix(3600, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.LabelParallel(X, 60); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkLabelFast_OneHour checks the paper's real-time envelope ("one
 // second of signal is processed in one second"): labeling a full hour of
 // features must finish orders of magnitude faster than the hour itself.
@@ -389,8 +374,8 @@ func BenchmarkAblation_FeatureCount(b *testing.B) {
 	}
 }
 
-// A3 — ablation: supervised vs unsupervised detector baselines on the
-// same window features.
+// A3 — ablation: the random-forest detector's train-and-predict cost
+// on the 108-column window features.
 
 func BenchmarkAblation_ClassifierBaselines(b *testing.B) {
 	loadFixture(b)
@@ -404,39 +389,6 @@ func BenchmarkAblation_ClassifierBaselines(b *testing.B) {
 				b.Fatal(err)
 			}
 			_ = f.PredictBatch(X)
-		}
-	})
-	b.Run("linear-svm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m, err := svm.Train(X, y, svm.DefaultConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, x := range X {
-				_ = m.Predict(x)
-			}
-		}
-	})
-	b.Run("knn", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m, err := knn.Train(X, y, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for j := 0; j < 50; j++ { // kNN prediction is the expensive part
-				_ = m.Predict(X[j*len(X)/50])
-			}
-		}
-	})
-	b.Run("kmeans-unsupervised", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := cluster.KMeans(X, 2, 50, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := cluster.BinaryFromClusters(res); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 }

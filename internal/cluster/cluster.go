@@ -141,7 +141,6 @@ func (o Options) withDefaults() Options {
 type Router struct {
 	opts   Options
 	shards []*shardConn
-	start  time.Time
 
 	// epoch increments on every health transition; streams revalidate
 	// their cached shard when it moves, which is how failover reroutes
@@ -153,8 +152,8 @@ type Router struct {
 	eventsDropped atomic.Uint64
 
 	// modelVersions is the router's view of each patient's latest model
-	// version, fed by ModelAnnounce frames and EventModelUpdated events
-	// from every connected shard. It is what failover compares against:
+	// version, fed by the EventModelUpdated events of every connected
+	// shard. It is what failover compares against:
 	// a re-resolved stream resumes only after its new shard serves at
 	// least this version (replica-first, ModelGet fallback).
 	modelMu       sync.Mutex
@@ -190,7 +189,7 @@ func Dial(addrs []string, opts Options) (*Router, error) {
 		}
 		seen[a] = true
 	}
-	r := &Router{opts: opts.withDefaults(), in: serve.NewIntake(opts.Admission), start: time.Now(), modelVersions: make(map[string]uint64)}
+	r := &Router{opts: opts.withDefaults(), in: serve.NewIntake(opts.Admission), modelVersions: make(map[string]uint64)}
 	r.events = make(chan serve.Event, r.opts.EventBuffer)
 	r.shards = make([]*shardConn, len(addrs))
 	for i, addr := range addrs {
@@ -405,13 +404,14 @@ func (r *Router) lostJob(j serve.Job) {
 	if j.Stream != nil {
 		j.Stream.NoteShed()
 	}
-	r.emit(serve.Event{Kind: serve.EventShed, Patient: j.Patient, Time: time.Now()})
+	r.emit(serve.Event{Kind: serve.EventShed, Patient: j.Patient})
 }
 
 // Snapshot merges the fleet's stats: every healthy shard is polled for
-// its serve.Stats and the counters are summed, then the client-side
+// its serve.Stats and the snapshots are summed, then the client-side
 // view is layered in — outbound queue depth, admission drops, transit
-// sheds, open handles, event-merge drops, and this client's uptime.
+// sheds, event-merge drops, and this client's open handles in place of
+// the shards' own.
 // Unreachable shards contribute nothing (their counters reappear when
 // they do). Serving counters (Windows, Alarms, Confirms, Retrains…)
 // are therefore authoritative from the shards; client counters cover
@@ -436,43 +436,20 @@ func (r *Router) Snapshot() serve.Stats {
 	wg.Wait()
 	var agg serve.Stats
 	for _, st := range replies {
-		if st == nil {
-			continue
+		if st != nil {
+			agg.Add(*st)
 		}
-		agg.Sessions += st.Sessions
-		agg.SessionsCreated += st.SessionsCreated
-		agg.SessionsEvicted += st.SessionsEvicted
-		agg.Batches += st.Batches
-		agg.BatchesDropped += st.BatchesDropped
-		agg.BatchesShed += st.BatchesShed
-		agg.QualityRejected += st.QualityRejected
-		agg.Windows += st.Windows
-		agg.WindowsPerSec += st.WindowsPerSec
-		agg.Alarms += st.Alarms
-		agg.Confirms += st.Confirms
-		agg.ConfirmsRejected += st.ConfirmsRejected
-		agg.ConfirmsDropped += st.ConfirmsDropped
-		agg.Retrains += st.Retrains
-		agg.RetrainErrors += st.RetrainErrors
-		agg.StreamErrors += st.StreamErrors
-		agg.ModelsCached += st.ModelsCached
-		agg.StoreErrors += st.StoreErrors
-		agg.WindowsSuppressed += st.WindowsSuppressed
-		agg.AuditSamples += st.AuditSamples
-		agg.AuditDisagreements += st.AuditDisagreements
-		agg.PrefilterDrift += st.PrefilterDrift
-		agg.EventsDropped += st.EventsDropped
-		agg.QueueDepth += st.QueueDepth
 	}
 	client := r.in.Counts()
+	agg.Add(serve.Stats{
+		BatchesDropped:   client.BatchesDropped,
+		BatchesShed:      r.batchesShed.Load(),
+		ConfirmsRejected: client.ConfirmsRejected,
+		ConfirmsDropped:  r.confirmsDropped.Load(),
+		EventsDropped:    r.eventsDropped.Load(),
+		QueueDepth:       r.Depth(),
+	})
 	agg.StreamsOpen = client.StreamsOpen
-	agg.BatchesDropped += client.BatchesDropped
-	agg.BatchesShed += r.batchesShed.Load()
-	agg.ConfirmsRejected += client.ConfirmsRejected
-	agg.ConfirmsDropped += r.confirmsDropped.Load()
-	agg.EventsDropped += r.eventsDropped.Load()
-	agg.QueueDepth += r.Depth()
-	agg.Uptime = time.Since(r.start)
 	return agg
 }
 

@@ -62,7 +62,7 @@ func newShardConn(r *Router, addr string) *shardConn {
 	sc.queue = serve.NewQueue(r.opts.QueueDepth, serve.QueueHooks{
 		Shed: func(j serve.Job) {
 			r.batchesShed.Add(1)
-			r.emit(serve.Event{Kind: serve.EventShed, Patient: j.Patient, Time: time.Now()})
+			r.emit(serve.Event{Kind: serve.EventShed, Patient: j.Patient})
 		},
 		ConfirmLost: func(serve.Job) { r.confirmsDropped.Add(1) },
 	})
@@ -180,7 +180,7 @@ loop:
 			if time.Since(time.Unix(0, sc.lastPong.Load())) > sc.r.opts.PingTimeout {
 				break loop
 			}
-			if err := sc.send(func(e *wire.Encoder) error { return e.Ping(0) }); err != nil {
+			if err := sc.send((*wire.Encoder).Ping); err != nil {
 				break loop
 			}
 		}
@@ -298,8 +298,9 @@ func (sc *shardConn) writeLoop(conn net.Conn, stop, done chan struct{}) {
 }
 
 // readLoop decodes shard→client frames until the connection dies:
-// events fan into the router's merged stream, stats replies resolve
-// pending requests, pongs feed the health probe.
+// events fan into the router's merged stream (a model update also feeds
+// the router's version table), stats and model replies resolve pending
+// requests, pongs feed the health probe.
 func (sc *shardConn) readLoop(dec *wire.Decoder, done chan struct{}) {
 	defer close(done)
 	for {
@@ -323,13 +324,6 @@ func (sc *shardConn) readLoop(dec *wire.Decoder, done chan struct{}) {
 			if ch != nil {
 				ch <- m.Stats
 			}
-		case wire.KindModelAnnounce:
-			sc.r.noteModelVersion(m.Patient, m.ModelVersion)
-		case wire.KindAuditRequest:
-			// The shard wants an audit sample from this patient's
-			// prefiltering client; surface it as the same event a local
-			// serve.Server emits, so gateways handle both modes uniformly.
-			sc.r.emit(serve.Event{Kind: serve.EventAuditRequest, Patient: m.Patient, Time: time.Now()})
 		case wire.KindModelPut:
 			// A ModelGet reply; unsolicited puts toward a client have no
 			// waiter and are dropped here.

@@ -23,10 +23,10 @@ import (
 // path: it answers ModelGet with the patient's current versioned
 // checkpoint, installs checkpoints arriving via ModelPut (replication
 // pushes from peers, failover transfers from routers), announces every
-// model install to connected clients (ModelAnnounce), and — when
-// Options.Replication is set — pushes each checkpoint save to the
-// next-in-line shard under the patient's rendezvous order, so the shard
-// a patient would fail over to already holds their detector.
+// model install to connected clients as an EventModelUpdated event,
+// and — when Options.Replication is set — pushes each checkpoint save
+// to the next-in-line shard under the patient's rendezvous order, so
+// the shard a patient would fail over to already holds their detector.
 //
 // Lifetime: Serve starts the accept and fanout loops and returns.
 // Close stops accepting and tears down client connections; the caller
@@ -271,7 +271,7 @@ func (c *clientConn) handle() {
 				return
 			}
 		case wire.KindPing:
-			if err := c.send(func(e *wire.Encoder) error { return e.Pong(m.Token) }); err != nil {
+			if err := c.send((*wire.Encoder).Pong); err != nil {
 				return
 			}
 		case wire.KindStatsReq:
@@ -289,7 +289,7 @@ func (c *clientConn) handle() {
 			// A replica pushed by a peer shard, or a failover transfer
 			// from a router. Installing through the serve.Server keeps
 			// the monotonic version guard and re-announces the install
-			// (EventModelUpdated → fanout → ModelAnnounce), so routers
+			// (EventModelUpdated → fanout → Event frame), so routers
 			// learn this shard now serves the patient at that version.
 			// A payload that fails to parse is dropped — one bad frame
 			// must cost the replica, not the connection's live streams.
@@ -350,25 +350,14 @@ func (c *clientConn) send(f func(*wire.Encoder) error) error {
 }
 
 // eventWriter drains this connection's fanout buffer onto the wire,
-// flushing when the buffer goes idle. A model update is followed by a
-// payload-free ModelAnnounce so the client's per-patient version table
-// stays current even if it ignores the event stream.
+// flushing when the buffer goes idle. The router's read loop feeds its
+// per-patient version table from the EventModelUpdated frames.
 func (c *clientConn) eventWriter(done chan struct{}) {
 	defer close(done)
 	for ev := range c.events {
 		c.writeMu.Lock()
 		c.conn.SetWriteDeadline(time.Now().Add(c.s.opts.WriteDeadline))
-		var err error
-		if ev.Kind == serve.EventAuditRequest {
-			// Cross as the dedicated frame so the router's read loop
-			// resurfaces it uniformly with local mode.
-			err = c.enc.AuditRequest(ev.Patient)
-		} else {
-			err = c.enc.Event(ev)
-		}
-		if err == nil && ev.Kind == serve.EventModelUpdated {
-			err = c.enc.ModelAnnounce(ev.Patient, ev.Version)
-		}
+		err := c.enc.Event(ev)
 		if err == nil && len(c.events) == 0 {
 			err = c.enc.Flush()
 		}

@@ -29,23 +29,3 @@ func ExampleLabel() {
 	// Output:
 	// label starts at point 80 (true start 80)
 }
-
-// ExampleLabelK finds two separate events in one buffer.
-func ExampleLabelK() {
-	rng := rand.New(rand.NewSource(2))
-	X := make([][]float64, 400)
-	for i := range X {
-		v := rng.NormFloat64()
-		if (i >= 100 && i < 130) || (i >= 300 && i < 330) {
-			v += 5
-		}
-		X[i] = []float64{v}
-	}
-	results, err := core.LabelK(X, 30, 2, 0.5)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("found %d events\n", len(results))
-	// Output:
-	// found 2 events
-}

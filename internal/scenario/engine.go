@@ -541,7 +541,7 @@ func awaitDrain(b Backend, base serve.Stats, c *Collector, exact bool, expWindow
 	var last serve.Stats
 	stable := 0
 	for {
-		st := statsDelta(b.Snapshot(), base)
+		st := b.Snapshot().Since(base)
 		if st.RetrainErrors > 0 || st.ConfirmsDropped > 0 {
 			return st, fmt.Errorf("scenario: retrain failed or confirm lost: %d errors, %d lost", st.RetrainErrors, st.ConfirmsDropped)
 		}
@@ -622,32 +622,4 @@ func NewLocalServer(w *Workload, c *Collector) (*serve.Server, error) {
 		opts = append(opts, serve.WithQualityGate(*spec.Quality))
 	}
 	return serve.New(cfg, opts...)
-}
-
-// statsDelta subtracts a baseline snapshot's cumulative counters so
-// scenario accounting holds against fleets that served earlier runs.
-// Gauges (Sessions, StreamsOpen, ModelsCached, QueueDepth) pass
-// through untouched.
-func statsDelta(st, base serve.Stats) serve.Stats {
-	st.SessionsCreated -= base.SessionsCreated
-	st.SessionsEvicted -= base.SessionsEvicted
-	st.Batches -= base.Batches
-	st.BatchesDropped -= base.BatchesDropped
-	st.BatchesShed -= base.BatchesShed
-	st.QualityRejected -= base.QualityRejected
-	st.Windows -= base.Windows
-	st.Alarms -= base.Alarms
-	st.Confirms -= base.Confirms
-	st.ConfirmsRejected -= base.ConfirmsRejected
-	st.ConfirmsDropped -= base.ConfirmsDropped
-	st.Retrains -= base.Retrains
-	st.RetrainErrors -= base.RetrainErrors
-	st.StreamErrors -= base.StreamErrors
-	st.StoreErrors -= base.StoreErrors
-	st.WindowsSuppressed -= base.WindowsSuppressed
-	st.AuditSamples -= base.AuditSamples
-	st.AuditDisagreements -= base.AuditDisagreements
-	st.PrefilterDrift -= base.PrefilterDrift
-	st.EventsDropped -= base.EventsDropped
-	return st
 }

@@ -155,10 +155,7 @@ type PrefilterSpec struct {
 	// HistoryWindows sizes the gate's rolling baseline. 0 = 64.
 	HistoryWindows int `json:"history_windows,omitempty"`
 	// AuditEvery ships every Nth suppressed window at full rate for the
-	// shard-side audit. 0 = serve.DefaultAuditEvery. Negative values are
-	// rejected: serve's shard-requested-only sampling mode (AuditEvery
-	// 0 on the wire) depends on event round-trip timing and cannot be
-	// replayed deterministically.
+	// shard-side audit. 0 = serve.DefaultAuditEvery.
 	AuditEvery int `json:"audit_every,omitempty"`
 	// DriftThreshold is the shard's audit-disagreement tolerance before
 	// it emits EventPrefilterDrift. 0 = serve.DefaultDriftThreshold.
@@ -176,18 +173,10 @@ func (p PrefilterSpec) Config() serve.PrefilterConfig {
 	if hw == 0 {
 		hw = 64
 	}
-	ae := p.AuditEvery
-	if ae == 0 {
-		ae = serve.DefaultAuditEvery
-	}
-	dt := p.DriftThreshold
-	if dt == 0 {
-		dt = serve.DefaultDriftThreshold
-	}
 	return serve.PrefilterConfig{
 		Gate:           rt.GateConfig{Factor: p.Factor, HistoryWindows: hw},
-		AuditEvery:     ae,
-		DriftThreshold: dt,
+		AuditEvery:     p.AuditEvery,
+		DriftThreshold: p.DriftThreshold,
 	}
 }
 
@@ -293,9 +282,6 @@ func (s Spec) Validate() error {
 		}
 	}
 	if p := s.Prefilter; p != nil {
-		if p.AuditEvery < 0 {
-			return fmt.Errorf("scenario: prefilter audit_every %d (shard-requested sampling is not replayable)", p.AuditEvery)
-		}
 		if err := p.Config().Validate(); err != nil {
 			return err
 		}

@@ -166,7 +166,7 @@ func TestSpecValidate(t *testing.T) {
 		{Dropouts: Dropouts{Count: 1, First: 0, Duration: 10, Channel: 2}},
 		{Quality: &signal.QualityConfig{FlatlineStd: -1}},
 		{Prefilter: &PrefilterSpec{Factor: 0.5}},                   // factor must exceed 1
-		{Prefilter: &PrefilterSpec{Factor: 2, AuditEvery: -1}},     // shard-requested sampling not replayable
+		{Prefilter: &PrefilterSpec{Factor: 2, AuditEvery: -1}},     // negative audit period
 		{Prefilter: &PrefilterSpec{Factor: 2, MistuneFactor: 0.5}}, // mistuned gate still needs a valid factor
 	}
 	for i, s := range bad {

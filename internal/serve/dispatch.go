@@ -367,8 +367,7 @@ func (w *worker) settle(d *drain) {
 // mirror, a Digest is checked against the declared gate and counted,
 // and an Audit sample replays through stage 2 with the session's
 // current model. Disagreements crossing the declared threshold emit
-// EventPrefilterDrift; unaudited suppression on a no-proactive-sampling
-// stream emits EventAuditRequest.
+// EventPrefilterDrift.
 func (w *worker) admitPrefilter(j Job, historyRows int) {
 	sess, err := w.session(j.Patient, historyRows)
 	if err != nil {
@@ -397,11 +396,7 @@ func (w *worker) admitPrefilter(j Job, historyRows int) {
 	}
 	if j.Digest != nil {
 		w.srv.windowsSuppressed.Add(uint64(j.Digest.Windows))
-		disagreed, requestAudit := sess.audit.observeDigest(*j.Digest)
-		w.noteAuditOutcome(sess, j.Patient, disagreed)
-		if requestAudit {
-			w.srv.hub.emit(Event{Kind: EventAuditRequest, Patient: j.Patient})
-		}
+		w.noteAuditOutcome(sess, j.Patient, sess.audit.observeDigest(*j.Digest))
 		return
 	}
 	// Audit sample: reconcile the model first so the replay scores with

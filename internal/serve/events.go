@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // EventKind discriminates the server's delivery-path events.
 type EventKind int
@@ -45,12 +42,6 @@ const (
 	// positive. It means stage-1 suppression may be costing sensitivity
 	// — the condition the edge/cloud split promises never to hide.
 	EventPrefilterDrift
-	// EventAuditRequest asks a prefiltering client that declared no
-	// proactive sampling (AuditEvery 0) to ship its next suppressed
-	// window at full rate so the shard can audit what stage 1 drops.
-	// Carried over the wire as a dedicated AuditRequest frame rather
-	// than a generic event.
-	EventAuditRequest
 )
 
 // String names the kind for logs.
@@ -70,8 +61,6 @@ func (k EventKind) String() string {
 		return "quality-reject"
 	case EventPrefilterDrift:
 		return "prefilter-drift"
-	case EventAuditRequest:
-		return "audit-request"
 	default:
 		return "unknown"
 	}
@@ -82,19 +71,18 @@ func (k EventKind) String() string {
 type Event struct {
 	Kind    EventKind
 	Patient string
-	// Time is when the event was emitted (server clock).
-	Time time.Time
-	// Seq orders events across the whole server.
+	// Seq orders events across the whole server; a cluster.Router
+	// re-stamps it in its merged order.
 	Seq uint64
 	// Version carries the monotonic per-patient model version of an
 	// EventModelUpdated; 0 otherwise.
 	Version uint64
 	// StreamTime is the patient's stream time in seconds at which an
 	// EventAlarm fired — the alarm window's index times the hop, the
-	// same clock rt.Alarm.Time runs on. Unlike the wall-clock Time it
-	// is deterministic for a deterministic input stream, which is what
-	// lets a replay harness score detections against ground-truth
-	// seizure intervals. 0 for other kinds.
+	// same clock rt.Alarm.Time runs on. It is deterministic for a
+	// deterministic input stream, which is what lets a replay harness
+	// score detections against ground-truth seizure intervals. 0 for
+	// other kinds.
 	StreamTime float64
 	// Err carries the failure of an EventRetrain; nil otherwise.
 	Err error
@@ -115,12 +103,11 @@ func newEventHub(buffer int, sink func(Event)) *eventHub {
 	return &eventHub{ch: make(chan Event, buffer), sink: sink}
 }
 
-// emit stamps and delivers ev. The channel only receives events once a
-// subscriber exists (Events was called); before that, events reach the
-// sink alone rather than silently filling the buffer.
+// emit sequences and delivers ev. The channel only receives events once
+// a subscriber exists (Events was called); before that, events reach
+// the sink alone rather than silently filling the buffer.
 func (h *eventHub) emit(ev Event) {
 	ev.Seq = h.seq.Add(1)
-	ev.Time = time.Now()
 	if h.sink != nil {
 		h.sink(ev)
 	}

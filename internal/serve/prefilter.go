@@ -26,10 +26,10 @@ import (
 //     through stage 2, and raises EventPrefilterDrift when
 //     disagreements cross the stream's declared threshold.
 
-// DefaultAuditEvery is the proactive audit sampling period (in
-// suppressed windows) when a PrefilterConfig leaves AuditEvery 0 yet
-// wants sampling; DefaultDriftThreshold the disagreement count that
-// fires EventPrefilterDrift.
+// DefaultAuditEvery is the audit sampling period (in suppressed
+// windows) when a PrefilterConfig leaves AuditEvery 0;
+// DefaultDriftThreshold the disagreement count that fires
+// EventPrefilterDrift when it leaves DriftThreshold 0.
 const (
 	DefaultAuditEvery     = 32
 	DefaultDriftThreshold = 3
@@ -39,11 +39,6 @@ const (
 // pending Digest before it is flushed even without a shipped window, so
 // the shard's mirror never lags a quiet stream by more than ~a minute.
 const digestSpanMax = 64
-
-// auditRequestInterval is how many unaudited suppressed windows the
-// shard tolerates from a stream that declared no proactive sampling
-// (AuditEvery 0) before it emits an EventAuditRequest.
-const auditRequestInterval = 64
 
 // driftSlack is the tolerance multiple on the audit mirror's trigger
 // threshold. The mirror reconstructs the client's baseline from digest
@@ -60,9 +55,7 @@ type PrefilterConfig struct {
 	// Gate parameterizes the stage-1 amplitude gate (rt.AmplitudeGate).
 	Gate rt.GateConfig `json:"gate"`
 	// AuditEvery makes the client ship every Nth suppressed window at
-	// full rate for shard-side auditing. 0 means no proactive sampling:
-	// the shard then requests samples (EventAuditRequest / AuditRequest
-	// frames) when suppression runs unaudited too long.
+	// full rate for shard-side auditing. 0 = DefaultAuditEvery.
 	AuditEvery int `json:"audit_every"`
 	// DriftThreshold is how many audit disagreements (digest amplitudes
 	// above the declared trigger level, or audited windows stage 2
@@ -83,6 +76,14 @@ func (c PrefilterConfig) Validate() error {
 		return fmt.Errorf("serve: negative drift threshold %d", c.DriftThreshold)
 	}
 	return nil
+}
+
+// auditEvery resolves the declared sampling period's zero default.
+func (c PrefilterConfig) auditEvery() uint64 {
+	if c.AuditEvery <= 0 {
+		return DefaultAuditEvery
+	}
+	return uint64(c.AuditEvery)
 }
 
 // driftThreshold resolves the declared threshold's zero default.
@@ -148,10 +149,6 @@ type PrefilterClient struct {
 	// shipped as audit samples.
 	suppressed uint64
 	samples    uint64
-	// auditASAP makes the next suppressed window ship as an audit
-	// sample regardless of the proactive schedule — set by a shard's
-	// audit request.
-	auditASAP bool
 }
 
 // NewPrefilterClient builds the client gate from its declaration.
@@ -185,10 +182,6 @@ func (p *PrefilterClient) Suppressed() uint64 { return p.suppressed }
 // Samples returns the number of audit samples shipped.
 func (p *PrefilterClient) Samples() uint64 { return p.samples }
 
-// RequestAudit makes the next suppressed window ship as an audit sample
-// — how a shard's AuditRequest frame reaches the gate.
-func (p *PrefilterClient) RequestAudit() { p.auditASAP = true }
-
 // Decide runs the stage-1 gate over one batch and returns what to send.
 //
 //selflearn:hotpath
@@ -201,16 +194,11 @@ func (p *PrefilterClient) Decide(c0, c1 []float64) PrefilterAction {
 	}
 	p.suppressed++
 	p.pending.add(amp)
-	audit := p.auditASAP
-	if every := p.decl.AuditEvery; every > 0 && p.suppressed%uint64(every) == 0 {
-		audit = true
-	}
 	var a PrefilterAction
-	if audit {
+	if p.suppressed%p.decl.auditEvery() == 0 {
 		// The digest flushes first so the shard's mirror sees this
 		// window's amplitude (it is part of the span) before the full
 		// samples arrive for stage-2 replay.
-		p.auditASAP = false
 		p.samples++
 		a = PrefilterAction{Audit: true, Flush: p.pending}
 		p.pending = Digest{}
@@ -253,10 +241,6 @@ type prefilterAudit struct {
 
 	disagreements uint64
 	driftFired    bool
-	// sinceAudit counts suppressed windows since the last audit sample;
-	// requested dedups EventAuditRequest emissions.
-	sinceAudit int
-	requested  bool
 }
 
 // newPrefilterAudit builds the audit state for one declared stream on
@@ -281,15 +265,12 @@ func (a *prefilterAudit) observeShipped(c0, c1 []float64) {
 	a.mirror.Admit(rt.BatchAmplitude(c0, c1))
 }
 
-// observeDigest audits one suppressed-span digest: counts the span,
-// checks its hottest window against the declared gate's current trigger
-// level, feeds the mirror baseline, and nudges the shard to request an
-// audit sample when a no-proactive-sampling stream runs unaudited too
-// long. Returns the number of new disagreements and whether an audit
-// sample should be requested from the client.
-func (a *prefilterAudit) observeDigest(d Digest) (disagreed uint64, requestAudit bool) {
+// observeDigest audits one suppressed-span digest: checks its hottest
+// window against the declared gate's current trigger level and feeds
+// the mirror baseline. Returns the number of new disagreements.
+func (a *prefilterAudit) observeDigest(d Digest) (disagreed uint64) {
 	if d.Windows == 0 {
-		return 0, false
+		return 0
 	}
 	if thr, warm := a.mirror.Threshold(); warm && d.MaxAmp >= thr*driftSlack {
 		// The declared gate, at the baseline the shard reconstructs,
@@ -301,13 +282,7 @@ func (a *prefilterAudit) observeDigest(d Digest) (disagreed uint64, requestAudit
 	for i := uint32(0); i < d.Windows; i++ {
 		a.mirror.Admit(mean)
 	}
-	a.sinceAudit += int(d.Windows)
-	if a.cfg.AuditEvery == 0 && a.sinceAudit >= auditRequestInterval && !a.requested {
-		a.requested = true
-		a.sinceAudit = 0
-		requestAudit = true
-	}
-	return disagreed, requestAudit
+	return disagreed
 }
 
 // observeSample replays one audit-sampled suppressed second through
@@ -315,8 +290,6 @@ func (a *prefilterAudit) observeDigest(d Digest) (disagreed uint64, requestAudit
 // disagreements (feature windows the classifier scored positive — since
 // the client suppressed the second as interictal-looking).
 func (a *prefilterAudit) observeSample(c0, c1 []float64, model *forest.FlatForest) uint64 {
-	a.sinceAudit = 0
-	a.requested = false
 	var disagreed uint64
 	for i := range c0 {
 		row, ready, err := a.streamer.Push(c0[i], c1[i])

@@ -20,6 +20,11 @@
 // forest without stalling the real-time path. Alarms, retrain outcomes
 // and session evictions are observable through Events — the paper's
 // "alarm to caregivers" as an actual delivery path.
+//
+// The package never reads the wall clock (the nowallclock analyzer
+// holds it to that): an alarm's time is its stream time.
+//
+//selflearn:deterministic
 package serve
 
 import (
@@ -27,7 +32,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -140,7 +144,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a point-in-time snapshot of the server's counters.
+// Stats is a point-in-time snapshot of the server's counters. Every
+// field but the gauges Sessions, StreamsOpen, ModelsCached and
+// QueueDepth is a cumulative counter. A new field must also land in Add
+// and Since, and in internal/wire's Stats frame.
 type Stats struct {
 	// Sessions is the number of live streaming sessions; StreamsOpen is
 	// the number of un-Closed handles returned by Open.
@@ -161,11 +168,6 @@ type Stats struct {
 	QualityRejected uint64
 	// Windows is the number of feature windows classified.
 	Windows uint64
-	// WindowsPerSec is the classification rate over the interval since
-	// the previous Snapshot call (the first call measures since start).
-	// Unlike a lifetime average it does not go stale on long-running
-	// servers; each Snapshot resets the interval.
-	WindowsPerSec float64
 	// Alarms is the number of alarms raised across all patients.
 	Alarms uint64
 	// Confirms counts accepted confirmations; ConfirmsRejected counts
@@ -206,8 +208,63 @@ type Stats struct {
 	EventsDropped uint64
 	// QueueDepth is the total number of jobs waiting across workers.
 	QueueDepth int
-	// Uptime since New.
-	Uptime time.Duration
+}
+
+// Add sums every field of o into s — how a fleet's per-shard snapshots
+// merge into one.
+func (s *Stats) Add(o Stats) {
+	s.Sessions += o.Sessions
+	s.StreamsOpen += o.StreamsOpen
+	s.SessionsCreated += o.SessionsCreated
+	s.SessionsEvicted += o.SessionsEvicted
+	s.Batches += o.Batches
+	s.BatchesDropped += o.BatchesDropped
+	s.BatchesShed += o.BatchesShed
+	s.QualityRejected += o.QualityRejected
+	s.Windows += o.Windows
+	s.Alarms += o.Alarms
+	s.Confirms += o.Confirms
+	s.ConfirmsRejected += o.ConfirmsRejected
+	s.ConfirmsDropped += o.ConfirmsDropped
+	s.Retrains += o.Retrains
+	s.RetrainErrors += o.RetrainErrors
+	s.StreamErrors += o.StreamErrors
+	s.ModelsCached += o.ModelsCached
+	s.StoreErrors += o.StoreErrors
+	s.WindowsSuppressed += o.WindowsSuppressed
+	s.AuditSamples += o.AuditSamples
+	s.AuditDisagreements += o.AuditDisagreements
+	s.PrefilterDrift += o.PrefilterDrift
+	s.EventsDropped += o.EventsDropped
+	s.QueueDepth += o.QueueDepth
+}
+
+// Since returns s with base's cumulative counters subtracted — the
+// activity between two snapshots of one server or fleet. The gauges
+// Sessions, StreamsOpen, ModelsCached and QueueDepth pass through as s
+// has them.
+func (s Stats) Since(base Stats) Stats {
+	s.SessionsCreated -= base.SessionsCreated
+	s.SessionsEvicted -= base.SessionsEvicted
+	s.Batches -= base.Batches
+	s.BatchesDropped -= base.BatchesDropped
+	s.BatchesShed -= base.BatchesShed
+	s.QualityRejected -= base.QualityRejected
+	s.Windows -= base.Windows
+	s.Alarms -= base.Alarms
+	s.Confirms -= base.Confirms
+	s.ConfirmsRejected -= base.ConfirmsRejected
+	s.ConfirmsDropped -= base.ConfirmsDropped
+	s.Retrains -= base.Retrains
+	s.RetrainErrors -= base.RetrainErrors
+	s.StreamErrors -= base.StreamErrors
+	s.StoreErrors -= base.StoreErrors
+	s.WindowsSuppressed -= base.WindowsSuppressed
+	s.AuditSamples -= base.AuditSamples
+	s.AuditDisagreements -= base.AuditDisagreements
+	s.PrefilterDrift -= base.PrefilterDrift
+	s.EventsDropped -= base.EventsDropped
+	return s
 }
 
 // Server is the concurrent multi-patient serving subsystem. Its
@@ -222,13 +279,6 @@ type Server struct {
 	learner   *learner
 	cache     *modelCache
 	hub       *eventHub
-	start     time.Time
-
-	// snapMu guards the rate-sampling state behind Stats.WindowsPerSec.
-	snapMu      sync.Mutex
-	lastSnap    time.Time
-	lastWindows uint64
-	lastRate    float64
 
 	sessions        atomic.Int64
 	sessionsCreated atomic.Uint64
@@ -279,8 +329,7 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 			return nil, err
 		}
 	}
-	s := &Server{cfg: cfg, in: NewIntake(so.admission), quality: so.quality, start: time.Now()}
-	s.lastSnap = s.start
+	s := &Server{cfg: cfg, in: NewIntake(so.admission), quality: so.quality}
 	s.hub = newEventHub(so.eventBuffer, so.sink)
 	s.cache = newModelCache(cfg.ModelCacheSize, so.store, func(error) { s.storeErrors.Add(1) })
 	s.learner = newLearner(s, cfg.Learners, cfg.LearnerQueue)
@@ -324,12 +373,8 @@ func shardHash(patientID string) uint32 {
 	return h
 }
 
-// Snapshot returns current serving statistics. Snapshot is also the
-// rate sampling point: WindowsPerSec covers the interval since the
-// previous Snapshot call, so a periodic stats loop sees the current
-// rate rather than a lifetime average diluted by hours of history.
+// Snapshot returns current serving statistics.
 func (s *Server) Snapshot() Stats {
-	now := time.Now()
 	st := s.in.Counts()
 	st.Sessions = int(s.sessions.Load())
 	st.SessionsCreated = s.sessionsCreated.Load()
@@ -350,31 +395,7 @@ func (s *Server) Snapshot() Stats {
 	st.PrefilterDrift = s.prefilterDrift.Load()
 	st.EventsDropped = s.hub.dropped.Load()
 	st.QueueDepth = s.transport.Depth()
-	st.Uptime = now.Sub(s.start)
-	st.WindowsPerSec = s.sampleWindowRate(now)
 	return st
-}
-
-// sampleWindowRate advances the WindowsPerSec interval sampler to now
-// and returns the current rate. The counter is re-sampled under snapMu:
-// a sample loaded outside the lock would race with other Snapshot
-// callers, and a stale sample underflows the uint64 delta into an
-// absurd rate. Under the lock the monotonic counter can only have
-// advanced past lastWindows. A non-positive dt — two Snapshots within
-// the same clock tick, or clock reads reordered across callers — skips
-// the resample and returns the last completed interval's rate, so the
-// result is always finite: never the Inf/NaN a naive delta/dt would
-// produce, and 0 before any interval has completed.
-func (s *Server) sampleWindowRate(now time.Time) float64 {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if dt := now.Sub(s.lastSnap).Seconds(); dt > 0 {
-		windows := s.windows.Load()
-		s.lastRate = float64(windows-s.lastWindows) / dt
-		s.lastSnap = now
-		s.lastWindows = windows
-	}
-	return s.lastRate
 }
 
 // Events returns the server's event stream: every alarm, retrain

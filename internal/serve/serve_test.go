@@ -3,7 +3,7 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -301,66 +301,50 @@ func TestShardHashMatchesFNV(t *testing.T) {
 	}
 }
 
-// TestWindowsPerSecSameTick pins the degenerate sampling interval: two
-// Snapshots within the same clock tick produce dt == 0, where a naive
-// delta/dt would return Inf (or NaN before any windows). The sampler
-// must skip the resample and return the last completed interval's
-// finite rate — 0 when no interval has completed yet.
-func TestWindowsPerSecSameTick(t *testing.T) {
-	srv, err := New(Config{Workers: 1, SampleRate: testRate, History: time.Minute})
-	if err != nil {
-		t.Fatal(err)
+// TestStatsMergeCoversEveryField sets every Stats field through
+// reflection, so a field added to Stats but forgotten in Add or Since
+// fails here: Add must sum it, and Since must subtract it unless it is
+// one of the gauges, which pass through.
+func TestStatsMergeCoversEveryField(t *testing.T) {
+	gauges := map[string]bool{"Sessions": true, "StreamsOpen": true, "ModelsCached": true, "QueueDepth": true}
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	field := func(v reflect.Value, i int) int64 {
+		f := v.Field(i)
+		if f.CanInt() {
+			return f.Int()
+		}
+		return int64(f.Uint())
 	}
-	defer srv.Close()
-	// Same tick as construction, before any interval completed: 0, not NaN.
-	if r := srv.sampleWindowRate(srv.start); r != 0 {
-		t.Fatalf("same-tick rate before any interval = %g, want 0", r)
-	}
-	h := open(t, srv, "p")
-	stream(t, h, testRecording(t, 4, 10, -1, 0))
-	now := time.Now()
-	r1 := srv.sampleWindowRate(now)
-	r2 := srv.sampleWindowRate(now) // dt == 0: same clock tick
-	for _, r := range []float64{r1, r2} {
-		if math.IsInf(r, 0) || math.IsNaN(r) || r < 0 {
-			t.Fatalf("rate = %g, want finite and non-negative", r)
+	set := func(v reflect.Value, i int, n int64) {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(n)
+		case reflect.Uint64:
+			f.SetUint(uint64(n))
+		default:
+			t.Fatalf("Stats.%s has kind %v; extend this test", v.Type().Field(i).Name, f.Kind())
 		}
 	}
-	if r2 != r1 {
-		t.Fatalf("same-tick resample changed the rate: %g then %g", r1, r2)
+	for i := 0; i < va.NumField(); i++ {
+		set(va, i, int64(100*(i+1)))
+		set(vb, i, int64(i+1))
 	}
-}
-
-// TestWindowsPerSecIsIntervalRate verifies the rate covers the window
-// since the previous Snapshot, not the process lifetime: after a burst
-// is processed, an idle interval must read ~0 even though the lifetime
-// average is large.
-func TestWindowsPerSecIsIntervalRate(t *testing.T) {
-	srv, err := New(Config{Workers: 1, SampleRate: testRate, History: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	h := open(t, srv, "p")
-	stream(t, h, testRecording(t, 3, 30, -1, 0))
-
-	// Once an interval passes with no new windows, its rate must read
-	// exactly 0 — a lifetime average could never return there.
-	for tries := 0; ; tries++ {
-		before := srv.Snapshot()
-		time.Sleep(50 * time.Millisecond)
-		after := srv.Snapshot()
-		if after.Windows == before.Windows {
-			if after.Windows == 0 {
-				t.Fatalf("no windows processed: %+v", after)
-			}
-			if after.WindowsPerSec != 0 {
-				t.Fatalf("idle-interval WindowsPerSec = %g, want 0", after.WindowsPerSec)
-			}
-			return
+	sum := a
+	sum.Add(b)
+	vs, vd := reflect.ValueOf(sum), reflect.ValueOf(a.Since(b))
+	for i := 0; i < va.NumField(); i++ {
+		name := va.Type().Field(i).Name
+		av, bv := field(va, i), field(vb, i)
+		if got := field(vs, i); got != av+bv {
+			t.Errorf("Add: %s = %d, want %d", name, got, av+bv)
 		}
-		if tries > 200 {
-			t.Fatalf("worker never went idle: %+v", after)
+		want := av - bv
+		if gauges[name] {
+			want = av
+		}
+		if got := field(vd, i); got != want {
+			t.Errorf("Since: %s = %d, want %d", name, got, want)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"selflearn/internal/serve"
 )
 
 // fuzzSeeds encodes one frame of every kind — the corpus FuzzDecode
@@ -33,8 +35,15 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		}
 		seeds = append(seeds, one(fn))
 	}
-	// Edge cases beyond the canonical frames: the "no model" reply.
+	// Edge cases beyond the canonical frames: the "no model" reply, a
+	// model-updated Event with no error message (the frame routers read
+	// their version tables from), and an empty batch, which frames as
+	// PushQ with zero-length code arrays.
 	seeds = append(seeds, one(func(e *Encoder) error { return e.ModelPut(0, "chb02", 0, nil) }))
+	seeds = append(seeds, one(func(e *Encoder) error {
+		return e.Event(serve.Event{Kind: serve.EventModelUpdated, Patient: "chb02", Version: 3})
+	}))
+	seeds = append(seeds, one(func(e *Encoder) error { return e.Push("chb02", nil, nil) }))
 	return seeds
 }
 
@@ -66,7 +75,7 @@ func FuzzDecode(f *testing.F) {
 			// A decoded frame must carry a known kind: parse rejects
 			// unknown kind bytes, so anything that got through is one of
 			// the declared constants.
-			if m.Kind < KindHello || m.Kind > KindAuditRequest {
+			if m.Kind < KindHello || m.Kind > KindAuditPush {
 				t.Fatalf("decoder accepted unknown kind %d", m.Kind)
 			}
 		}

@@ -45,11 +45,6 @@ func TestPrefilterFramesRoundTrip(t *testing.T) {
 			t.Fatalf("audit-push samples corrupted at %d: %v / %v", i, m.C0, m.C1)
 		}
 	}
-
-	m = decodeOne(t, encode(t, func(e *Encoder) error { return e.AuditRequest("ward-3/bed 12") }))
-	if m.Kind != KindAuditRequest || m.Patient != "ward-3/bed 12" {
-		t.Fatalf("audit-request = %+v", m)
-	}
 }
 
 // TestPrefilterTruncatedPayloadRejected: cut prefilter frame bodies

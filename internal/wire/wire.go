@@ -19,8 +19,7 @@
 // Client → shard: Hello, Push, PushQ, Confirm, StatsReq, Ping,
 // ModelGet, ModelPut (failover checkpoint transfer), PrefilterDecl,
 // PushDigest, AuditPush (edge prefilter).
-// Shard → client: Hello, Event, Stats, Pong, ModelPut (ModelGet reply),
-// ModelAnnounce, AuditRequest.
+// Shard → client: Hello, Event, Stats, Pong, ModelPut (ModelGet reply).
 // Shard → shard: Hello, ModelPut (checkpoint replication).
 package wire
 
@@ -31,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"selflearn/internal/serve"
 )
@@ -39,7 +37,7 @@ import (
 // Version is the protocol revision exchanged in Hello frames. Bump it
 // on any change to frame layout (including serve.Stats gaining fields);
 // peers accept only an exact match, so there is one layout per kind.
-const Version = 5
+const Version = 6
 
 // MaxFrame bounds a frame body so a corrupt or hostile length prefix
 // cannot make the decoder allocate gigabytes. 16 MiB fits >500 s of
@@ -63,15 +61,17 @@ const (
 	KindPush
 	// KindConfirm carries a patient's seizure confirmation.
 	KindConfirm
-	// KindEvent carries one serve.Event from shard to client.
+	// KindEvent carries one serve.Event from shard to client: kind,
+	// patient, model version, stream time and error message. An
+	// EventModelUpdated is also how routers keep their per-patient
+	// model version tables current.
 	KindEvent
 	// KindStatsReq asks the shard for a stats snapshot; Token correlates
 	// the KindStats reply.
 	KindStatsReq
 	// KindStats is the snapshot reply: Token, then serve.Stats.
 	KindStats
-	// KindPing and KindPong are the health probe; Pong echoes the
-	// ping's Token.
+	// KindPing and KindPong are the payload-free health probe.
 	KindPing
 	KindPong
 	// KindModelGet asks the peer for a patient's current model
@@ -84,10 +84,6 @@ const (
 	// means "no model". The payload is capped by MaxFrame like every
 	// frame body; forest checkpoints are a few hundred KB at most.
 	KindModelPut
-	// KindModelAnnounce advertises that the sender now serves a patient
-	// at a model version, without the checkpoint payload — how routers
-	// keep their per-patient version tables current.
-	KindModelAnnounce
 	// KindPushQ carries one patient's sample batch quantized to
 	// uint16 steps on a per-channel affine grid: patient, then per
 	// channel an offset and power-of-two scale (float64 each), a uint32
@@ -114,10 +110,6 @@ const (
 	// stays suppressed (it is covered by the digest that precedes it);
 	// the shard only checks whether stage 2 agrees it was droppable.
 	KindAuditPush
-	// KindAuditRequest asks a prefiltering client to ship its next
-	// suppressed window as an AuditPush: patient. Sent by shards when a
-	// stream that declared no proactive sampling runs unaudited.
-	KindAuditRequest
 )
 
 // String names the kind for logs and errors.
@@ -143,8 +135,6 @@ func (k Kind) String() string {
 		return "model-get"
 	case KindModelPut:
 		return "model-put"
-	case KindModelAnnounce:
-		return "model-announce"
 	case KindPushQ:
 		return "push-q"
 	case KindPrefilterDecl:
@@ -153,8 +143,6 @@ func (k Kind) String() string {
 		return "push-digest"
 	case KindAuditPush:
 		return "audit-push"
-	case KindAuditRequest:
-		return "audit-request"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -165,12 +153,12 @@ func (k Kind) String() string {
 type Msg struct {
 	Kind         Kind
 	Version      uint32                // Hello
-	Patient      string                // Push, Confirm, ModelGet, ModelPut, ModelAnnounce, prefilter family
+	Patient      string                // Push, Confirm, ModelGet, ModelPut, prefilter family
 	C0, C1       []float64             // Push, AuditPush
 	Event        serve.Event           // Event
 	Stats        serve.Stats           // Stats
-	Token        uint64                // StatsReq, Stats, Ping, Pong, ModelGet, ModelPut
-	ModelVersion uint64                // ModelPut, ModelAnnounce
+	Token        uint64                // StatsReq, Stats, ModelGet, ModelPut
+	ModelVersion uint64                // ModelPut
 	Model        []byte                // ModelPut: JSON forest checkpoint (empty = no model)
 	Prefilter    serve.PrefilterConfig // PrefilterDecl
 	Digest       serve.Digest          // PushDigest
@@ -387,8 +375,6 @@ func (e *Encoder) Event(ev serve.Event) error {
 	e.begin(KindEvent)
 	e.appendU8(uint8(ev.Kind))
 	e.appendString(ev.Patient)
-	e.appendI64(ev.Time.UnixNano())
-	e.appendU64(ev.Seq)
 	e.appendU64(ev.Version)
 	e.appendF64(ev.StreamTime)
 	msg := ""
@@ -436,13 +422,6 @@ func (e *Encoder) AuditPush(patient string, c0, c1 []float64) error {
 	return e.frame()
 }
 
-// AuditRequest asks a prefiltering client for an audit sample.
-func (e *Encoder) AuditRequest(patient string) error {
-	e.begin(KindAuditRequest)
-	e.appendString(patient)
-	return e.frame()
-}
-
 // ModelGet writes a model request carrying a correlation token.
 func (e *Encoder) ModelGet(token uint64, patient string) error {
 	e.begin(KindModelGet)
@@ -462,14 +441,6 @@ func (e *Encoder) ModelPut(token uint64, patient string, version uint64, checkpo
 	e.appendString(patient)
 	e.appendU64(version)
 	e.appendBytes(checkpoint)
-	return e.frame()
-}
-
-// ModelAnnounce writes a payload-free model version advertisement.
-func (e *Encoder) ModelAnnounce(patient string, version uint64) error {
-	e.begin(KindModelAnnounce)
-	e.appendString(patient)
-	e.appendU64(version)
 	return e.frame()
 }
 
@@ -495,7 +466,6 @@ func (e *Encoder) Stats(token uint64, st serve.Stats) error {
 	e.appendU64(st.BatchesShed)
 	e.appendU64(st.QualityRejected)
 	e.appendU64(st.Windows)
-	e.appendF64(st.WindowsPerSec)
 	e.appendU64(st.Alarms)
 	e.appendU64(st.Confirms)
 	e.appendU64(st.ConfirmsRejected)
@@ -511,21 +481,18 @@ func (e *Encoder) Stats(token uint64, st serve.Stats) error {
 	e.appendU64(st.PrefilterDrift)
 	e.appendU64(st.EventsDropped)
 	e.appendI64(int64(st.QueueDepth))
-	e.appendI64(int64(st.Uptime))
 	return e.frame()
 }
 
-// Ping writes a health probe; Pong echoes its token back.
-func (e *Encoder) Ping(token uint64) error {
+// Ping writes a health probe.
+func (e *Encoder) Ping() error {
 	e.begin(KindPing)
-	e.appendU64(token)
 	return e.frame()
 }
 
 // Pong writes a health probe reply.
-func (e *Encoder) Pong(token uint64) error {
+func (e *Encoder) Pong() error {
 	e.begin(KindPong)
-	e.appendU64(token)
 	return e.frame()
 }
 
@@ -689,14 +656,13 @@ func parse(body []byte) (Msg, error) {
 	case KindEvent:
 		m.Event.Kind = serve.EventKind(r.u8())
 		m.Event.Patient = r.str()
-		m.Event.Time = time.Unix(0, r.i64())
-		m.Event.Seq = r.u64()
 		m.Event.Version = r.u64()
 		m.Event.StreamTime = r.f64()
 		if msg := r.str(); msg != "" {
 			m.Event.Err = errors.New(msg)
 		}
-	case KindStatsReq, KindPing, KindPong:
+	case KindPing, KindPong:
+	case KindStatsReq:
 		m.Token = r.u64()
 	case KindModelGet:
 		m.Token = r.u64()
@@ -706,9 +672,6 @@ func parse(body []byte) (Msg, error) {
 		m.Patient = r.str()
 		m.ModelVersion = r.u64()
 		m.Model = r.bytes()
-	case KindModelAnnounce:
-		m.Patient = r.str()
-		m.ModelVersion = r.u64()
 	case KindStats:
 		m.Token = r.u64()
 		m.Stats = decodeStats(r)
@@ -728,8 +691,6 @@ func parse(body []byte) (Msg, error) {
 		m.Patient = r.str()
 		m.C0 = r.floats()
 		m.C1 = r.floats()
-	case KindAuditRequest:
-		m.Patient = r.str()
 	default:
 		return Msg{}, fmt.Errorf("wire: unknown frame kind %d", uint8(m.Kind))
 	}
@@ -753,7 +714,6 @@ func decodeStats(r *reader) serve.Stats {
 	st.BatchesShed = r.u64()
 	st.QualityRejected = r.u64()
 	st.Windows = r.u64()
-	st.WindowsPerSec = r.f64()
 	st.Alarms = r.u64()
 	st.Confirms = r.u64()
 	st.ConfirmsRejected = r.u64()
@@ -769,6 +729,5 @@ func decodeStats(r *reader) serve.Stats {
 	st.PrefilterDrift = r.u64()
 	st.EventsDropped = r.u64()
 	st.QueueDepth = int(r.i64())
-	st.Uptime = time.Duration(r.i64())
 	return st
 }
