@@ -212,7 +212,7 @@ func runOne(spec scenario.Spec, addrs []string, idx int, speed float64) (*scenar
 		}
 	}
 
-	adm, err := serve.ParseAdmission(w.Spec.Admission, 0)
+	adm, err := serve.ParseAdmission(w.Spec.Admission)
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,8 @@
 // owns its patients' sessions and streams alarm/retrain/eviction/shed
 // events back to every connected client.
 //
-// The shard's own admission policy defaults to block-forever: the read
-// loop stalling on a full queue is the cluster's flow control (the TCP
+// The shard's own admission policy is block-forever: the read loop
+// stalling on a full queue is the cluster's flow control (the TCP
 // window fills, and the client-side admission policy — where drop/shed
 // decisions belong — takes over). Give each shardd its own -store
 // directory to persist detectors across restarts; point two shardds at
@@ -52,10 +52,8 @@ func main() {
 	rate := flag.Float64("rate", 256, "sampling rate in Hz (must match the front end)")
 	history := flag.Duration("history", time.Hour, "feature history buffered per session for a-posteriori labeling")
 	avgSeizure := flag.Duration("avg-seizure", 25*time.Second, "expert average seizure duration W for the labeling algorithm")
-	admission := flag.String("admission", "block", "admission policy on full worker queues: drop, block or shed")
 	quality := flag.Bool("quality", false, "reject low-quality sample batches (flatline/clipped channels) before classification")
 	refractory := flag.Duration("refractory", 0, "alarm hold-off after a raised alarm (0 = detector default; loadgen's matrix expects 30s)")
-	deadline := flag.Duration("deadline", 0, "queue-space wait for -admission block (0 = wait forever: socket backpressure)")
 	storeDir := flag.String("store", "", "model checkpoint directory (persists detectors across restarts); empty = in-memory only")
 	eventBuffer := flag.Int("events", 4096, "event hub buffer before a lagging consumer drops events")
 	peers := flag.String("peers", "", "comma-separated fleet addresses (every shardd, including this one) enabling checkpoint replication")
@@ -86,11 +84,7 @@ func main() {
 		log.Printf("shardd: fault plan armed: %d windows (fault seed %d)", len(inj.Windows()), plan.Seed)
 	}
 
-	adm, err := serve.ParseAdmission(*admission, *deadline)
-	if err != nil {
-		log.Fatalf("shardd: -admission: %v", err)
-	}
-	opts := []serve.Option{serve.WithEventBuffer(*eventBuffer), serve.WithAdmission(adm)}
+	opts := []serve.Option{serve.WithEventBuffer(*eventBuffer), serve.WithAdmission(serve.BlockWithDeadline(0))}
 	if *storeDir != "" {
 		fs, err := serve.NewFileStore(*storeDir)
 		if err != nil {
@@ -158,8 +152,8 @@ func main() {
 	if copts.Replication != nil {
 		replication = *peers
 	}
-	log.Printf("shardd: serving on %s (workers=%d learners=%d admission=%s rate=%gHz store=%q replication=%s)",
-		ss.Addr(), *workers, *learners, *admission, *rate, *storeDir, replication)
+	log.Printf("shardd: serving on %s (workers=%d learners=%d admission=block rate=%gHz store=%q replication=%s)",
+		ss.Addr(), *workers, *learners, *rate, *storeDir, replication)
 
 	sig := make(chan os.Signal, 1)
 	ossignal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -128,7 +128,7 @@ func TestSelfLearningToAlarms(t *testing.T) {
 		t.Fatal("no alarm raised on a seizure record")
 	}
 	cropTruth := crop.Seizures[0]
-	metrics := rt.ScoreEvents(alarms, [][2]float64{{cropTruth.Start, cropTruth.End}}, 10)
+	metrics := eval.ScoreDetections(alarmTimes(alarms), []signal.Interval{cropTruth}, 10, 0)
 	if metrics.Detected != 1 {
 		t.Errorf("seizure not detected: %+v (alarms %v)", metrics, alarms)
 	}
@@ -147,6 +147,15 @@ func TestSelfLearningToAlarms(t *testing.T) {
 type nopClassifier struct{}
 
 func (nopClassifier) Predict([]float64) bool { return false }
+
+// alarmTimes returns the stream times of alarms, in firing order.
+func alarmTimes(alarms []rt.Alarm) []float64 {
+	ts := make([]float64, len(alarms))
+	for i, a := range alarms {
+		ts[i] = a.Time
+	}
+	return ts
+}
 
 // TestNoFalseAlarmsOnArtifactBackground stress-tests specificity: a
 // detector self-learned on real seizures must not alarm on a seizure-free
@@ -228,7 +237,7 @@ func TestNoFalseAlarmsOnArtifactBackground(t *testing.T) {
 		det.PushPrediction(pr)
 	}
 	cropTruth := crop.Seizures[0]
-	m := rt.ScoreEvents(det.Alarms(), [][2]float64{{cropTruth.Start, cropTruth.End}}, 10)
+	m := eval.ScoreDetections(alarmTimes(det.Alarms()), []signal.Interval{cropTruth}, 10, 0)
 	if m.Detected != 1 {
 		t.Errorf("augmented detector missed the held-out seizure: %+v", m)
 	}

@@ -321,10 +321,11 @@ func (f *chaosFleet) checkMonotonicVersions() {
 	f.logs[1].checkMonotonic(f.t, "shard 1")
 }
 
-// awaitPlanIdle waits until plan time has passed the last fault window
-// (plus margin for in-flight detection), so flap-style scenarios can
-// stream their post-heal phase against a quiet network.
-func awaitPlanIdle(t *testing.T, inj *fault.Injector) {
+// awaitPlanIdle waits until plan time, which the injector started no
+// later than armed, has passed the last fault window (plus margin for
+// in-flight detection), so flap-style scenarios can stream their
+// post-heal phase against a quiet network.
+func awaitPlanIdle(t *testing.T, inj *fault.Injector, armed time.Time) {
 	t.Helper()
 	var last time.Duration
 	for _, w := range inj.Windows() {
@@ -333,7 +334,7 @@ func awaitPlanIdle(t *testing.T, inj *fault.Injector) {
 		}
 	}
 	pollUntil(t, last+10*time.Second, "fault plan drained", func() bool {
-		return inj.Elapsed() > last+300*time.Millisecond
+		return time.Since(armed) > last+300*time.Millisecond
 	})
 }
 
@@ -433,7 +434,7 @@ func chaosHealedRun(t *testing.T, cfg chaosConfig) string {
 	f.train(false)
 
 	f.inj.Arm()
-	awaitPlanIdle(t, f.inj)
+	awaitPlanIdle(t, f.inj, time.Now())
 	// The post-heal stream must land on the healed home, not fail over:
 	// wait until the router routes the patient there again.
 	pollUntil(t, 15*time.Second, "home link re-established", func() bool {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -657,6 +658,37 @@ func TestRecoveryTransfersModelHome(t *testing.T) {
 	if st := shardB2.srv.Snapshot(); st.Retrains != 0 {
 		t.Fatalf("reborn shard retrained (%d); the version must have come over the wire", st.Retrains)
 	}
+}
+
+// TestRequestRejectsWrongKindReply: stats and model replies share one
+// token table, so a reply of the wrong kind on a request's token must
+// fail the request, as a timeout does, rather than pass for the reply
+// it waited for.
+func TestRequestRejectsWrongKindReply(t *testing.T) {
+	r := &Router{opts: Options{}.withDefaults()}
+	sc := newShardConn(r, "test:0")
+	client, shard := net.Pipe()
+	defer shard.Close()
+	sc.conn, sc.enc = client, wire.NewEncoder(client)
+	done := make(chan struct{})
+	go sc.readLoop(wire.NewDecoder(client), done)
+	go func() {
+		// The shard answers the stats request with a model frame.
+		req, err := wire.NewDecoder(shard).Next()
+		if err != nil {
+			return
+		}
+		enc := wire.NewEncoder(shard)
+		if enc.ModelPut(req.Token, "p", 1, nil) == nil {
+			enc.Flush()
+		}
+	}()
+	_, err := sc.stats(10 * time.Second)
+	if err == nil || !strings.Contains(err.Error(), wire.KindModelPut.String()) {
+		t.Fatalf("stats request answered by a model-put frame: err = %v", err)
+	}
+	client.Close()
+	<-done
 }
 
 // TestRendezvousStability pins the routing properties failover depends

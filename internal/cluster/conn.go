@@ -41,9 +41,10 @@ type shardConn struct {
 
 	lastPong atomic.Int64 // UnixNano of the latest pong
 
-	pendMu        sync.Mutex
-	pending       map[uint64]chan serve.Stats
-	pendingModels map[uint64]chan modelReply
+	// pending holds the waiters of stats and model requests in flight,
+	// by request token.
+	pendMu  sync.Mutex
+	pending map[uint64]chan wire.Msg
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -52,12 +53,11 @@ type shardConn struct {
 
 func newShardConn(r *Router, addr string) *shardConn {
 	sc := &shardConn{
-		r:             r,
-		addr:          addr,
-		pending:       make(map[uint64]chan serve.Stats),
-		pendingModels: make(map[uint64]chan modelReply),
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
+		r:       r,
+		addr:    addr,
+		pending: make(map[uint64]chan wire.Msg),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	sc.queue = serve.NewQueue(r.opts.QueueDepth, serve.QueueHooks{
 		Shed: func(j serve.Job) {
@@ -316,56 +316,60 @@ func (sc *shardConn) readLoop(dec *wire.Decoder, done chan struct{}) {
 			sc.r.emit(m.Event)
 		case wire.KindPong:
 			sc.lastPong.Store(time.Now().UnixNano())
-		case wire.KindStats:
+		case wire.KindStats, wire.KindModelPut:
+			// A reply to a stats or model request; unsolicited puts
+			// toward a client have no waiter and are dropped here.
 			sc.pendMu.Lock()
 			ch := sc.pending[m.Token]
 			delete(sc.pending, m.Token)
 			sc.pendMu.Unlock()
 			if ch != nil {
-				ch <- m.Stats
-			}
-		case wire.KindModelPut:
-			// A ModelGet reply; unsolicited puts toward a client have no
-			// waiter and are dropped here.
-			sc.pendMu.Lock()
-			ch := sc.pendingModels[m.Token]
-			delete(sc.pendingModels, m.Token)
-			sc.pendMu.Unlock()
-			if ch != nil {
-				ch <- modelReply{version: m.ModelVersion, data: m.Model}
+				ch <- m
 			}
 		}
 	}
 }
 
-// modelReply is one shard's answer to a model request: version 0 with
-// no data means the shard holds no model for the patient.
-type modelReply struct {
-	version uint64
-	data    []byte
-}
-
-// modelGet requests the backend's current checkpoint for a patient and
-// waits for the correlated ModelPut reply.
-func (sc *shardConn) modelGet(patient string, timeout time.Duration) (uint64, []byte, error) {
+// request sends the request frame enc writes under a fresh token and
+// waits for the reply on that token, which must be a frame of kind
+// want: a reply of another kind is an error, as a timeout is.
+func (sc *shardConn) request(want wire.Kind, what string, timeout time.Duration, enc func(e *wire.Encoder, token uint64) error) (wire.Msg, error) {
 	token := sc.r.statsToken.Add(1)
-	ch := make(chan modelReply, 1)
+	ch := make(chan wire.Msg, 1)
 	sc.pendMu.Lock()
-	sc.pendingModels[token] = ch
+	sc.pending[token] = ch
 	sc.pendMu.Unlock()
-	if err := sc.send(func(e *wire.Encoder) error { return e.ModelGet(token, patient) }); err != nil {
-		sc.dropPendingModel(token)
-		return 0, nil, err
+	drop := func() {
+		sc.pendMu.Lock()
+		delete(sc.pending, token)
+		sc.pendMu.Unlock()
+	}
+	if err := sc.send(func(e *wire.Encoder) error { return enc(e, token) }); err != nil {
+		drop()
+		return wire.Msg{}, err
 	}
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
-	case rep := <-ch:
-		return rep.version, rep.data, nil
+	case m := <-ch:
+		if m.Kind != want {
+			return wire.Msg{}, fmt.Errorf("cluster: %s from %s answered with a %v frame", what, sc.addr, m.Kind)
+		}
+		return m, nil
 	case <-t.C:
-		sc.dropPendingModel(token)
-		return 0, nil, fmt.Errorf("cluster: model reply timeout from %s", sc.addr)
+		drop()
+		return wire.Msg{}, fmt.Errorf("cluster: %s timeout from %s", what, sc.addr)
 	}
+}
+
+// modelGet requests the backend's current checkpoint for a patient and
+// waits for the correlated ModelPut reply: version 0 with no data means
+// the shard holds no model for the patient.
+func (sc *shardConn) modelGet(patient string, timeout time.Duration) (uint64, []byte, error) {
+	m, err := sc.request(wire.KindModelPut, "model reply", timeout, func(e *wire.Encoder, token uint64) error {
+		return e.ModelGet(token, patient)
+	})
+	return m.ModelVersion, m.Model, err
 }
 
 // modelPut pushes one versioned checkpoint to the backend — the
@@ -376,39 +380,13 @@ func (sc *shardConn) modelPut(patient string, version uint64, checkpoint []byte)
 	return sc.send(func(e *wire.Encoder) error { return e.ModelPut(0, patient, version, checkpoint) })
 }
 
-func (sc *shardConn) dropPendingModel(token uint64) {
-	sc.pendMu.Lock()
-	delete(sc.pendingModels, token)
-	sc.pendMu.Unlock()
-}
-
 // stats requests one snapshot from the backend and waits for the
 // correlated reply.
 func (sc *shardConn) stats(timeout time.Duration) (serve.Stats, error) {
-	token := sc.r.statsToken.Add(1)
-	ch := make(chan serve.Stats, 1)
-	sc.pendMu.Lock()
-	sc.pending[token] = ch
-	sc.pendMu.Unlock()
-	if err := sc.send(func(e *wire.Encoder) error { return e.StatsReq(token) }); err != nil {
-		sc.dropPending(token)
-		return serve.Stats{}, err
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case st := <-ch:
-		return st, nil
-	case <-t.C:
-		sc.dropPending(token)
-		return serve.Stats{}, fmt.Errorf("cluster: stats timeout from %s", sc.addr)
-	}
-}
-
-func (sc *shardConn) dropPending(token uint64) {
-	sc.pendMu.Lock()
-	delete(sc.pending, token)
-	sc.pendMu.Unlock()
+	m, err := sc.request(wire.KindStats, "stats", timeout, func(e *wire.Encoder, token uint64) error {
+		return e.StatsReq(token)
+	})
+	return m.Stats, err
 }
 
 // failPending abandons stats and model requests in flight on a dying
@@ -416,6 +394,5 @@ func (sc *shardConn) dropPending(token uint64) {
 func (sc *shardConn) failPending() {
 	sc.pendMu.Lock()
 	clear(sc.pending)
-	clear(sc.pendingModels)
 	sc.pendMu.Unlock()
 }

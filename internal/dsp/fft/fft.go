@@ -34,23 +34,6 @@ func NextPow2(n int) int {
 //
 //selflearn:hotpath
 func Forward(x []complex128) error {
-	return transform(x, false)
-}
-
-// Inverse computes the in-place inverse DFT of x, including the 1/N
-// scaling, so Inverse(Forward(x)) == x up to rounding.
-func Inverse(x []complex128) error {
-	if err := transform(x, true); err != nil {
-		return err
-	}
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] /= n
-	}
-	return nil
-}
-
-func transform(x []complex128, inverse bool) error {
 	n := len(x)
 	if n == 0 {
 		return nil
@@ -71,11 +54,7 @@ func transform(x []complex128, inverse bool) error {
 	}
 	// Butterflies.
 	for size := 2; size <= n; size <<= 1 {
-		ang := 2 * math.Pi / float64(size)
-		if !inverse {
-			ang = -ang
-		}
-		wStep := cmplx.Rect(1, ang)
+		wStep := cmplx.Rect(1, -2*math.Pi/float64(size))
 		for start := 0; start < n; start += size {
 			w := complex(1, 0)
 			half := size / 2
@@ -89,32 +68,4 @@ func transform(x []complex128, inverse bool) error {
 		}
 	}
 	return nil
-}
-
-// ForwardReal computes the DFT of a real signal, zero-padding to the next
-// power of two. It returns the full complex spectrum of the padded length.
-func ForwardReal(xs []float64) ([]complex128, error) {
-	n := NextPow2(len(xs))
-	buf := make([]complex128, n)
-	for i, v := range xs {
-		buf[i] = complex(v, 0)
-	}
-	if err := Forward(buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// Magnitudes returns |X[k]| for the first n/2+1 bins (the one-sided
-// spectrum of a real signal).
-func Magnitudes(spec []complex128) []float64 {
-	if len(spec) == 0 {
-		return nil
-	}
-	half := len(spec)/2 + 1
-	out := make([]float64, half)
-	for i := 0; i < half; i++ {
-		out[i] = cmplx.Abs(spec[i])
-	}
-	return out
 }

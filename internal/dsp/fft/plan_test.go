@@ -13,9 +13,6 @@ func TestPlanMatchesForward(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewPlan(%d): %v", n, err)
 		}
-		if p.Len() != n {
-			t.Fatalf("Len() = %d, want %d", p.Len(), n)
-		}
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
@@ -55,9 +52,6 @@ func TestRealPlanPowerSpectrum(t *testing.T) {
 		rp, err := NewRealPlan(n)
 		if err != nil {
 			t.Fatalf("NewRealPlan(%d): %v", n, err)
-		}
-		if rp.Len() != n || rp.NumBins() != n/2+1 {
-			t.Fatalf("n=%d: Len=%d NumBins=%d", n, rp.Len(), rp.NumBins())
 		}
 		xs := make([]float64, n)
 		for i := range xs {
@@ -126,7 +120,7 @@ func BenchmarkRealPlanPower1024(b *testing.B) {
 	for i := range xs {
 		xs[i] = float64(i % 17)
 	}
-	dst := make([]float64, rp.NumBins())
+	dst := make([]float64, 1024/2+1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -27,8 +27,11 @@ func TestPowerMatchesFFTBin(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.NormFloat64()
 	}
-	spec, err := fft.ForwardReal(xs)
-	if err != nil {
+	spec := make([]complex128, n)
+	for i, v := range xs {
+		spec[i] = complex(v, 0)
+	}
+	if err := fft.Forward(spec); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{0, 1, 7, 50, 128} {

@@ -201,9 +201,6 @@ func NewWorkspace(n int, fs float64, taper window.Func) (*Workspace, error) {
 	return ws, nil
 }
 
-// NumBins returns the number of one-sided PSD bins the workspace produces.
-func (ws *Workspace) NumBins() int { return ws.half }
-
 // PeriodogramInto estimates the one-sided PSD of xs into dst, reusing
 // dst.Power when already sized. len(xs) must equal the workspace length.
 //

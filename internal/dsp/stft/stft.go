@@ -28,37 +28,9 @@ type Spectrogram struct {
 // Frames returns the number of time frames.
 func (s *Spectrogram) Frames() int { return len(s.Power) }
 
-// Bins returns the number of frequency bins per frame.
-func (s *Spectrogram) Bins() int {
-	if len(s.Power) == 0 {
-		return 0
-	}
-	return len(s.Power[0])
-}
-
 // FrameTime returns the center time in seconds of frame t.
 func (s *Spectrogram) FrameTime(t int) float64 {
 	return s.StartOffset + float64(t)*s.HopSeconds
-}
-
-// Freq returns the frequency in Hz of bin k.
-func (s *Spectrogram) Freq(k int) float64 { return float64(k) * s.BinWidth }
-
-// BandSeries returns the band power of each frame over band b — the
-// time series a seizure detector thresholds.
-func (s *Spectrogram) BandSeries(b spectrum.Band) []float64 {
-	out := make([]float64, s.Frames())
-	for t, frame := range s.Power {
-		var sum float64
-		for k, p := range frame {
-			f := s.Freq(k)
-			if f >= b.Low && f < b.High {
-				sum += p
-			}
-		}
-		out[t] = sum * s.BinWidth
-	}
-	return out
 }
 
 // Compute calculates the spectrogram of xs sampled at fs Hz with frames
@@ -91,27 +63,6 @@ func Compute(xs []float64, fs float64, winSamples, hopSamples int, taper window.
 		sg.Power = append(sg.Power, psd.Power)
 	}
 	return sg, nil
-}
-
-// DominantFrequency returns, per frame, the frequency of the strongest
-// bin at or above minFreq — during a spike-wave discharge this traces
-// the ictal chirp.
-func (s *Spectrogram) DominantFrequency(minFreq float64) []float64 {
-	out := make([]float64, s.Frames())
-	for t, frame := range s.Power {
-		best, bestP := math.NaN(), -1.0
-		for k, p := range frame {
-			f := s.Freq(k)
-			if f < minFreq {
-				continue
-			}
-			if p > bestP {
-				bestP, best = p, f
-			}
-		}
-		out[t] = best
-	}
-	return out
 }
 
 // LogCompress returns a copy of the power map compressed to decibels

@@ -46,22 +46,8 @@ var (
 	}}
 )
 
-// ByName returns the wavelet with the given name ("haar", "db2", "db3",
-// "db4", "sym4").
-func ByName(name string) (Wavelet, error) {
-	for _, w := range []Wavelet{Haar, DB2, DB3, DB4, Sym4} {
-		if w.name == name {
-			return w, nil
-		}
-	}
-	return Wavelet{}, fmt.Errorf("wavelet: unknown wavelet %q", name)
-}
-
 // Name returns the conventional name of the wavelet.
 func (w Wavelet) Name() string { return w.name }
-
-// FilterLength returns the number of filter taps.
-func (w Wavelet) FilterLength() int { return len(w.scaling) }
 
 // decLo returns the analysis lowpass filter (time-reversed scaling
 // filter).
@@ -164,9 +150,6 @@ type Decomposition struct {
 	Details [][]float64
 }
 
-// Levels returns the decomposition depth.
-func (d *Decomposition) Levels() int { return len(d.Details) }
-
 // Detail returns the detail coefficients of the given level (1-based, as
 // in the paper's "seventh level permutation entropy"). It returns nil
 // when the level is out of range.
@@ -234,49 +217,14 @@ func (w Wavelet) Reconstruct(d *Decomposition) ([]float64, error) {
 	return cur, nil
 }
 
-// SubbandEnergies returns the energy (sum of squares) of each detail
-// level, index 0 = level 1, followed by the approximation energy as the
-// last element.
-func (d *Decomposition) SubbandEnergies() []float64 {
-	return d.AppendSubbandEnergies(make([]float64, 0, len(d.Details)+1))
-}
-
 // AppendSubbandEnergies appends the subband energies — details in level
 // order, then the approximation — to dst and returns the extended
-// slice: the allocation-free form of SubbandEnergies and the single
-// definition of the subband-energy feature ordering.
+// slice: the single definition of the subband-energy feature ordering.
 func (d *Decomposition) AppendSubbandEnergies(dst []float64) []float64 {
 	for _, det := range d.Details {
 		dst = append(dst, energy(det))
 	}
 	return append(dst, energy(d.Approx))
-}
-
-// RelativeSubbandEnergies returns SubbandEnergies normalized to sum to 1;
-// a zero-energy decomposition returns all zeros.
-func (d *Decomposition) RelativeSubbandEnergies() []float64 {
-	es := d.SubbandEnergies()
-	var tot float64
-	for _, e := range es {
-		tot += e
-	}
-	if tot == 0 {
-		return es
-	}
-	for i := range es {
-		es[i] /= tot
-	}
-	return es
-}
-
-// TotalEnergy returns the energy summed over all subbands. For an
-// orthonormal wavelet this equals the time-domain energy of the input.
-func (d *Decomposition) TotalEnergy() float64 {
-	var tot float64
-	for _, e := range d.SubbandEnergies() {
-		tot += e
-	}
-	return tot
 }
 
 func energy(xs []float64) float64 {
@@ -285,30 +233,6 @@ func energy(xs []float64) float64 {
 		s += x * x
 	}
 	return s
-}
-
-// PadPow2 right-pads xs with its final value up to the next power of two,
-// returning xs unchanged when it is already a power of two. An empty
-// input is returned unchanged.
-func PadPow2(xs []float64) []float64 {
-	n := len(xs)
-	if n == 0 {
-		return xs
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	if p == n {
-		return xs
-	}
-	out := make([]float64, p)
-	copy(out, xs)
-	last := xs[n-1]
-	for i := n; i < p; i++ {
-		out[i] = last
-	}
-	return out
 }
 
 // OrthonormalityError returns the maximum deviation of the wavelet's

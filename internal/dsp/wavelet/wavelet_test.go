@@ -18,21 +18,6 @@ func randomSignal(seed int64, n int) []float64 {
 	return xs
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"haar", "db2", "db3", "db4", "sym4"} {
-		w, err := ByName(name)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if w.Name() != name {
-			t.Errorf("Name() = %q, want %q", w.Name(), name)
-		}
-	}
-	if _, err := ByName("sym9"); err == nil {
-		t.Error("unknown wavelet should error")
-	}
-}
-
 func TestFilterCoefficientsSumToSqrt2(t *testing.T) {
 	for _, w := range allWavelets() {
 		var s float64
@@ -100,16 +85,17 @@ func TestEnergyPreservation(t *testing.T) {
 	// Orthonormal transform must preserve energy (Parseval).
 	for _, w := range allWavelets() {
 		x := randomSignal(99, 512)
-		var eIn float64
-		for _, v := range x {
-			eIn += v * v
-		}
+		eIn := energy(x)
 		d, err := w.Decompose(x, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(d.TotalEnergy()-eIn) > 1e-8*eIn {
-			t.Errorf("%s: subband energy %g, time energy %g", w.Name(), d.TotalEnergy(), eIn)
+		eOut := energy(d.Approx)
+		for _, det := range d.Details {
+			eOut += energy(det)
+		}
+		if math.Abs(eOut-eIn) > 1e-8*eIn {
+			t.Errorf("%s: subband energy %g, time energy %g", w.Name(), eOut, eIn)
 		}
 	}
 }
@@ -131,8 +117,8 @@ func TestDecomposeLevel7Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Levels() != 7 {
-		t.Fatalf("Levels = %d, want 7", d.Levels())
+	if len(d.Details) != 7 {
+		t.Fatalf("Levels = %d, want 7", len(d.Details))
 	}
 	wantLens := []int{512, 256, 128, 64, 32, 16, 8}
 	for l := 1; l <= 7; l++ {
@@ -263,32 +249,19 @@ func TestSubbandEnergies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	es := d.SubbandEnergies()
+	es := d.AppendSubbandEnergies(nil)
 	if len(es) != 5 { // 4 detail levels + approx
 		t.Fatalf("want 5 subband energies, got %d", len(es))
 	}
-	rel := d.RelativeSubbandEnergies()
 	var sum float64
-	for _, r := range rel {
-		if r < 0 {
-			t.Error("negative relative energy")
+	for _, e := range es {
+		if e < 0 {
+			t.Error("negative subband energy")
 		}
-		sum += r
+		sum += e
 	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("relative energies sum to %g, want 1", sum)
-	}
-}
-
-func TestRelativeSubbandEnergiesZeroSignal(t *testing.T) {
-	d, err := DB4.Decompose(make([]float64, 64), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range d.RelativeSubbandEnergies() {
-		if r != 0 {
-			t.Error("zero signal should give all-zero relative energies")
-		}
+	if e := energy(x); math.Abs(sum-e) > 1e-8*e {
+		t.Errorf("subband energies sum to %g, want the signal energy %g", sum, e)
 	}
 }
 
@@ -308,23 +281,23 @@ func TestHighFrequencyEnergyInFineDetail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := d.RelativeSubbandEnergies()
-	if rel[0] < 0.9 {
-		t.Errorf("level-1 detail should capture a Nyquist tone, got share %g", rel[0])
+	if share := energy(d.Detail(1)) / energy(x); share < 0.9 {
+		t.Errorf("level-1 detail should capture a Nyquist tone, got share %g", share)
 	}
 }
 
 func TestPadPow2(t *testing.T) {
-	if got := PadPow2(nil); len(got) != 0 {
+	ws := DB4.NewWorkspace()
+	if got := ws.PadPow2(nil); len(got) != 0 {
 		t.Error("empty input unchanged")
 	}
 	in := []float64{1, 2, 3}
-	out := PadPow2(in)
+	out := ws.PadPow2(in)
 	if len(out) != 4 || out[3] != 3 {
 		t.Errorf("PadPow2([1 2 3]) = %v, want [1 2 3 3]", out)
 	}
 	same := []float64{1, 2, 3, 4}
-	if &PadPow2(same)[0] != &same[0] {
+	if &ws.PadPow2(same)[0] != &same[0] {
 		t.Error("power-of-two input should be returned as-is")
 	}
 }

@@ -23,9 +23,6 @@ func (w Wavelet) NewWorkspace() *Workspace {
 	return &Workspace{w: w, lo: w.decLo(), hi: w.decHi()}
 }
 
-// Wavelet returns the basis the workspace decomposes with.
-func (ws *Workspace) Wavelet() Wavelet { return ws.w }
-
 // PadPow2 right-pads xs with its final value up to the next power of
 // two into the workspace's padding buffer, returning xs unchanged when
 // it already is one. The returned slice is valid until the next PadPow2

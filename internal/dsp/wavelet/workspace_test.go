@@ -29,8 +29,8 @@ func TestDecomposeIntoMatchesDecompose(t *testing.T) {
 			if err := ws.DecomposeInto(&d, xs, level); err != nil {
 				t.Fatal(err)
 			}
-			if d.Levels() != want.Levels() {
-				t.Fatalf("%s n=%d: %d levels vs %d", w.Name(), n, d.Levels(), want.Levels())
+			if len(d.Details) != len(want.Details) {
+				t.Fatalf("%s n=%d: %d levels vs %d", w.Name(), n, len(d.Details), len(want.Details))
 			}
 			for l := 1; l <= level; l++ {
 				got, ref := d.Detail(l), want.Detail(l)
@@ -110,8 +110,9 @@ func TestExtendIntoMatchesFullDecompose(t *testing.T) {
 	}
 }
 
-// TestWorkspacePadPow2 checks the padding buffer against the
-// allocating helper, including the no-op power-of-two case.
+// TestWorkspacePadPow2 checks the padding buffer against edge
+// replication up to the next power of two, including the no-op
+// power-of-two case.
 func TestWorkspacePadPow2(t *testing.T) {
 	ws := DB4.NewWorkspace()
 	for _, n := range []int{1, 5, 8, 100, 1000, 1024} {
@@ -119,7 +120,10 @@ func TestWorkspacePadPow2(t *testing.T) {
 		for i := range xs {
 			xs[i] = float64(i)
 		}
-		want := PadPow2(xs)
+		want := append([]float64(nil), xs...)
+		for len(want)&(len(want)-1) != 0 {
+			want = append(want, xs[n-1])
+		}
 		got := ws.PadPow2(xs)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: len %d vs %d", n, len(got), len(want))

@@ -103,16 +103,6 @@ func Cached(f Func, n int) []float64 {
 	return lookup(f, n).coeffs
 }
 
-// Apply multiplies xs element-wise by window f and returns a new slice.
-func Apply(f Func, xs []float64) []float64 {
-	w := Cached(f, len(xs))
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x * w[i]
-	}
-	return out
-}
-
 // Power returns the mean squared coefficient of window f at length n,
 // used to correct PSD estimates for the power lost to tapering.
 func Power(f Func, n int) float64 {

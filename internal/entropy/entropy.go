@@ -1,77 +1,15 @@
 // Package entropy implements the nonlinearity measures the paper extracts
 // from DWT subbands: permutation entropy (Bandt–Pompe), Rényi entropy,
-// and sample entropy, plus Shannon and approximate entropy for the
-// extended feature bank.
+// and sample entropy, plus Shannon entropy for the extended feature
+// bank. Every estimator is a method of Workspace, which owns its
+// scratch.
 package entropy
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 )
-
-// Shannon returns the Shannon entropy (nats) of the probability
-// distribution ps. Zero-probability entries are ignored; the distribution
-// is assumed normalized. Empty input returns 0.
-func Shannon(ps []float64) float64 {
-	var h float64
-	for _, p := range ps {
-		if p > 0 {
-			h -= p * math.Log(p)
-		}
-	}
-	return h
-}
-
-// Renyi returns the Rényi entropy of order alpha (nats) of the
-// distribution ps. alpha must be positive and != 1; alpha == 1 falls back
-// to Shannon (its limit). Empty input returns 0.
-func Renyi(ps []float64, alpha float64) (float64, error) {
-	if alpha <= 0 {
-		return 0, fmt.Errorf("entropy: Rényi order must be positive, got %g", alpha)
-	}
-	if alpha == 1 {
-		return Shannon(ps), nil
-	}
-	var s float64
-	for _, p := range ps {
-		if p > 0 {
-			s += math.Pow(p, alpha)
-		}
-	}
-	if s == 0 {
-		return 0, nil
-	}
-	return math.Log(s) / (1 - alpha), nil
-}
-
-// RenyiSignal computes the Rényi entropy of order alpha of a signal by
-// histogramming it into nbins amplitude bins. This is how the paper's
-// "third level Rényi entropy" feature is realised on DWT coefficients.
-func RenyiSignal(xs []float64, alpha float64, nbins int) (float64, error) {
-	var ws Workspace
-	return ws.RenyiSignal(xs, alpha, nbins)
-}
-
-// ShannonSignal computes the Shannon entropy of a signal via an nbins
-// amplitude histogram.
-func ShannonSignal(xs []float64, nbins int) (float64, error) {
-	var ws Workspace
-	return ws.ShannonSignal(xs, nbins)
-}
-
-// Permutation returns the permutation entropy of order n (embedding
-// dimension) with unit delay, normalized to [0, 1] by log(n!). It follows
-// Bandt and Pompe, "Permutation Entropy: A Natural Complexity Measure for
-// Time Series". The paper uses n = 5 and n = 7 on DWT subbands.
-//
-// Signals shorter than n return 0 (no ordinal patterns exist). Ties are
-// broken by temporal order, the standard convention.
-func Permutation(xs []float64, n int) (float64, error) {
-	var ws Workspace
-	return ws.Permutation(xs, n)
-}
 
 func logFactorial(n int) float64 {
 	var s float64
@@ -79,20 +17,6 @@ func logFactorial(n int) float64 {
 		s += math.Log(float64(i))
 	}
 	return s
-}
-
-// Sample returns the sample entropy SampEn(m, r) of xs following
-// Richman–Moorman as used by Chen et al. (paper reference [27]): the
-// negative logarithm of the conditional probability that sequences
-// matching for m points (Chebyshev distance <= r) also match for m+1
-// points. Self-matches are excluded.
-//
-// r is an absolute tolerance; use SampleK to express it as k·σ as the
-// paper does (k = 0.2 and k = 0.35). Degenerate inputs (too short, or no
-// matches) return 0.
-func Sample(xs []float64, m int, r float64) (float64, error) {
-	var ws Workspace
-	return ws.Sample(xs, m, r)
 }
 
 // sampleCounts returns (A, B): matches of length m+1 and m over template
@@ -183,85 +107,4 @@ func sampleCountsSorted(xs []float64, m int, r float64, order []int32) (a, b int
 		}
 	}
 	return a, b
-}
-
-// SampleK returns Sample(xs, m, k·σ(xs)), the paper's parameterisation
-// ("sixth level sample entropy for k = 0.2 and k = 0.35").
-func SampleK(xs []float64, m int, k float64) (float64, error) {
-	var ws Workspace
-	return ws.SampleK(xs, m, k)
-}
-
-// Multiscale returns the multiscale sample entropy of xs: SampEn(m, r)
-// computed on coarse-grained versions of the signal at scales 1..scales
-// (scale τ averages non-overlapping blocks of τ samples). Complex
-// physiological signals keep their entropy across scales; white noise
-// loses it — a standard EEG complexity profile (Costa et al.).
-func Multiscale(xs []float64, m int, r float64, scales int) ([]float64, error) {
-	if scales < 1 {
-		return nil, fmt.Errorf("entropy: invalid scale count %d", scales)
-	}
-	out := make([]float64, scales)
-	for tau := 1; tau <= scales; tau++ {
-		coarse := coarseGrain(xs, tau)
-		h, err := Sample(coarse, m, r)
-		if err != nil {
-			return nil, err
-		}
-		out[tau-1] = h
-	}
-	return out, nil
-}
-
-func coarseGrain(xs []float64, tau int) []float64 {
-	if tau <= 1 {
-		return xs
-	}
-	n := len(xs) / tau
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var s float64
-		for j := 0; j < tau; j++ {
-			s += xs[i*tau+j]
-		}
-		out[i] = s / float64(tau)
-	}
-	return out
-}
-
-// Approximate returns the approximate entropy ApEn(m, r) of xs
-// (Pincus). Unlike sample entropy it counts self-matches, making it
-// biased but defined for all inputs. Degenerate inputs return 0.
-func Approximate(xs []float64, m int, r float64) (float64, error) {
-	if m < 1 {
-		return 0, fmt.Errorf("entropy: approximate entropy m must be >= 1, got %d", m)
-	}
-	if r < 0 {
-		return 0, fmt.Errorf("entropy: approximate entropy tolerance must be >= 0, got %g", r)
-	}
-	if len(xs) < m+1 {
-		return 0, nil
-	}
-	phi := func(m int) float64 {
-		n := len(xs) - m + 1
-		var sum float64
-		for i := 0; i < n; i++ {
-			count := 0
-			for j := 0; j < n; j++ {
-				match := true
-				for k := 0; k < m; k++ {
-					if math.Abs(xs[i+k]-xs[j+k]) > r {
-						match = false
-						break
-					}
-				}
-				if match {
-					count++
-				}
-			}
-			sum += math.Log(float64(count) / float64(n))
-		}
-		return sum / float64(n)
-	}
-	return phi(m) - phi(m+1), nil
 }

@@ -14,30 +14,51 @@ func approx(t *testing.T, got, want, tol float64, what string) {
 	}
 }
 
+// The histogram estimators bin a signal's range into nbins equal bins
+// (the maximum lands in the last), so these signals realise known
+// distributions: uniform4 → {¼, ¼, ¼, ¼} over 4 bins, skewed →
+// {½, ¼, ¼} over 3, coin → {½, ½} over 2 and gapped → {½, 0, ½} over 3.
+var (
+	uniform4 = []float64{0, 1, 2, 3}
+	skewed   = []float64{0, 0, 1, 2}
+	coin     = []float64{0, 1}
+	gapped   = []float64{0, 2}
+)
+
+// shannon is ShannonSignal that fails the test on error.
+func shannon(t *testing.T, xs []float64, nbins int) float64 {
+	t.Helper()
+	var ws Workspace
+	h, err := ws.ShannonSignal(xs, nbins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 func TestShannonUniform(t *testing.T) {
-	approx(t, Shannon([]float64{0.25, 0.25, 0.25, 0.25}), math.Log(4), 1e-12, "uniform Shannon")
-	approx(t, Shannon([]float64{1}), 0, 1e-12, "deterministic Shannon")
-	approx(t, Shannon(nil), 0, 0, "empty Shannon")
-	approx(t, Shannon([]float64{0.5, 0, 0.5}), math.Log(2), 1e-12, "Shannon skips zeros")
+	approx(t, shannon(t, uniform4, 4), math.Log(4), 1e-12, "uniform Shannon")
+	approx(t, shannon(t, []float64{1, 1, 1}, 4), 0, 1e-12, "deterministic Shannon")
+	approx(t, shannon(t, nil, 4), 0, 0, "empty Shannon")
+	approx(t, shannon(t, gapped, 3), math.Log(2), 1e-12, "Shannon skips zeros")
 }
 
 func TestRenyiLimits(t *testing.T) {
-	ps := []float64{0.5, 0.25, 0.25}
+	var ws Workspace
 	// alpha -> 1 recovers Shannon.
-	h1, err := Renyi(ps, 1)
+	h1, err := ws.RenyiSignal(skewed, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx(t, h1, Shannon(ps), 1e-12, "Rényi alpha=1")
-	hNear, err := Renyi(ps, 1.0001)
+	approx(t, h1, shannon(t, skewed, 3), 1e-12, "Rényi alpha=1")
+	hNear, err := ws.RenyiSignal(skewed, 1.0001, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx(t, hNear, Shannon(ps), 1e-3, "Rényi alpha→1 limit")
+	approx(t, hNear, shannon(t, skewed, 3), 1e-3, "Rényi alpha→1 limit")
 	// Uniform distribution: all orders give log(n).
-	uni := []float64{0.25, 0.25, 0.25, 0.25}
 	for _, a := range []float64{0.5, 2, 3} {
-		h, err := Renyi(uni, a)
+		h, err := ws.RenyiSignal(uniform4, a, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,8 +67,8 @@ func TestRenyiLimits(t *testing.T) {
 }
 
 func TestRenyiOrder2(t *testing.T) {
-	ps := []float64{0.5, 0.5}
-	h, err := Renyi(ps, 2)
+	var ws Workspace
+	h, err := ws.RenyiSignal(coin, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,13 +76,14 @@ func TestRenyiOrder2(t *testing.T) {
 }
 
 func TestRenyiErrors(t *testing.T) {
-	if _, err := Renyi([]float64{1}, 0); err == nil {
+	var ws Workspace
+	if _, err := ws.RenyiSignal([]float64{1}, 0, 4); err == nil {
 		t.Error("alpha=0 should error")
 	}
-	if _, err := Renyi([]float64{1}, -2); err == nil {
+	if _, err := ws.RenyiSignal([]float64{1}, -2, 4); err == nil {
 		t.Error("negative alpha should error")
 	}
-	h, err := Renyi(nil, 2)
+	h, err := ws.RenyiSignal(nil, 2, 4)
 	if err != nil || h != 0 {
 		t.Error("empty distribution should give 0")
 	}
@@ -69,15 +91,15 @@ func TestRenyiErrors(t *testing.T) {
 
 func TestRenyiMonotoneInAlpha(t *testing.T) {
 	// Rényi entropy is non-increasing in alpha.
-	f := func(a, b, c float64) bool {
-		pa, pb, pc := math.Abs(a)+0.01, math.Abs(b)+0.01, math.Abs(c)+0.01
-		if math.IsInf(pa+pb+pc, 0) || math.IsNaN(pa+pb+pc) {
-			return true
+	var ws Workspace
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		xs := make([]float64, 64)
+		for i := range xs {
+			xs[i] = rng.NormFloat64()
 		}
-		tot := pa + pb + pc
-		ps := []float64{pa / tot, pb / tot, pc / tot}
-		h1, err1 := Renyi(ps, 0.5)
-		h2, err2 := Renyi(ps, 2)
+		h1, err1 := ws.RenyiSignal(xs, 0.5, 8)
+		h2, err2 := ws.RenyiSignal(xs, 2, 8)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -89,12 +111,13 @@ func TestRenyiMonotoneInAlpha(t *testing.T) {
 }
 
 func TestRenyiSignal(t *testing.T) {
+	var ws Workspace
 	rng := rand.New(rand.NewSource(4))
 	noisy := make([]float64, 4096)
 	for i := range noisy {
 		noisy[i] = rng.Float64()
 	}
-	hNoise, err := RenyiSignal(noisy, 2, 16)
+	hNoise, err := ws.RenyiSignal(noisy, 2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,39 +125,41 @@ func TestRenyiSignal(t *testing.T) {
 	approx(t, hNoise, math.Log(16), 0.1, "uniform-noise Rényi")
 
 	constant := make([]float64, 128)
-	hConst, err := RenyiSignal(constant, 2, 16)
+	hConst, err := ws.RenyiSignal(constant, 2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	approx(t, hConst, 0, 1e-12, "constant-signal Rényi")
 
-	if _, err := RenyiSignal(noisy, 2, 0); err == nil {
+	if _, err := ws.RenyiSignal(noisy, 2, 0); err == nil {
 		t.Error("invalid bins should error")
 	}
-	h, err := RenyiSignal(nil, 2, 8)
+	h, err := ws.RenyiSignal(nil, 2, 8)
 	if err != nil || h != 0 {
 		t.Error("empty signal should give 0")
 	}
 }
 
 func TestShannonSignal(t *testing.T) {
-	if _, err := ShannonSignal([]float64{1, 2}, -1); err == nil {
+	var ws Workspace
+	if _, err := ws.ShannonSignal([]float64{1, 2}, -1); err == nil {
 		t.Error("invalid bins should error")
 	}
-	h, err := ShannonSignal(nil, 8)
+	h, err := ws.ShannonSignal(nil, 8)
 	if err != nil || h != 0 {
 		t.Error("empty signal should give 0")
 	}
 }
 
 func TestPermutationMonotoneSequence(t *testing.T) {
+	var ws Workspace
 	// A strictly increasing sequence has a single ordinal pattern: H = 0.
 	xs := make([]float64, 100)
 	for i := range xs {
 		xs[i] = float64(i)
 	}
 	for _, n := range []int{3, 5, 7} {
-		h, err := Permutation(xs, n)
+		h, err := ws.Permutation(xs, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,12 +168,13 @@ func TestPermutationMonotoneSequence(t *testing.T) {
 }
 
 func TestPermutationNoiseNearOne(t *testing.T) {
+	var ws Workspace
 	rng := rand.New(rand.NewSource(8))
 	xs := make([]float64, 20000)
 	for i := range xs {
 		xs[i] = rng.NormFloat64()
 	}
-	h, err := Permutation(xs, 3)
+	h, err := ws.Permutation(xs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +184,13 @@ func TestPermutationNoiseNearOne(t *testing.T) {
 }
 
 func TestPermutationPeriodicBelowNoise(t *testing.T) {
+	var ws Workspace
 	// A regular oscillation uses fewer ordinal patterns than noise.
 	per := make([]float64, 4096)
 	for i := range per {
 		per[i] = math.Sin(2 * math.Pi * float64(i) / 16)
 	}
-	hp, err := Permutation(per, 5)
+	hp, err := ws.Permutation(per, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +199,7 @@ func TestPermutationPeriodicBelowNoise(t *testing.T) {
 	for i := range noise {
 		noise[i] = rng.NormFloat64()
 	}
-	hn, err := Permutation(noise, 5)
+	hn, err := ws.Permutation(noise, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +209,7 @@ func TestPermutationPeriodicBelowNoise(t *testing.T) {
 }
 
 func TestPermutationBounds(t *testing.T) {
+	var ws Workspace
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		xs := make([]float64, 64)
@@ -189,7 +217,7 @@ func TestPermutationBounds(t *testing.T) {
 			xs[i] = rng.NormFloat64()
 		}
 		for _, n := range []int{3, 5, 7} {
-			h, err := Permutation(xs, n)
+			h, err := ws.Permutation(xs, n)
 			if err != nil || h < 0 || h > 1+1e-12 {
 				return false
 			}
@@ -202,25 +230,27 @@ func TestPermutationBounds(t *testing.T) {
 }
 
 func TestPermutationShortAndErrors(t *testing.T) {
-	h, err := Permutation([]float64{1, 2}, 5)
+	var ws Workspace
+	h, err := ws.Permutation([]float64{1, 2}, 5)
 	if err != nil || h != 0 {
 		t.Error("too-short signal should give 0 without error")
 	}
-	if _, err := Permutation([]float64{1, 2, 3}, 1); err == nil {
+	if _, err := ws.Permutation([]float64{1, 2, 3}, 1); err == nil {
 		t.Error("order 1 should error")
 	}
-	if _, err := Permutation([]float64{1, 2, 3}, 13); err == nil {
+	if _, err := ws.Permutation([]float64{1, 2, 3}, 13); err == nil {
 		t.Error("order 13 should error")
 	}
 }
 
 func TestPermutationPaperOrders(t *testing.T) {
+	var ws Workspace
 	// The paper's configuration uses n=5 and n=7 on short subbands
 	// (level-7 detail of a 1024-sample window has 8 coefficients) — the
 	// implementation must handle that gracefully.
 	xs := []float64{0.3, -1.2, 0.8, 0.1, -0.4, 2.2, -0.9, 0.5}
 	for _, n := range []int{5, 7} {
-		h, err := Permutation(xs, n)
+		h, err := ws.Permutation(xs, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,11 +261,12 @@ func TestPermutationPaperOrders(t *testing.T) {
 }
 
 func TestSampleEntropyRegularVsRandom(t *testing.T) {
+	var ws Workspace
 	per := make([]float64, 512)
 	for i := range per {
 		per[i] = math.Sin(2 * math.Pi * float64(i) / 32)
 	}
-	hPer, err := SampleK(per, 2, 0.2)
+	hPer, err := ws.SampleK(per, 2, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +275,7 @@ func TestSampleEntropyRegularVsRandom(t *testing.T) {
 	for i := range noise {
 		noise[i] = rng.NormFloat64()
 	}
-	hNoise, err := SampleK(noise, 2, 0.2)
+	hNoise, err := ws.SampleK(noise, 2, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,17 +285,18 @@ func TestSampleEntropyRegularVsRandom(t *testing.T) {
 }
 
 func TestSampleEntropyToleranceMonotone(t *testing.T) {
+	var ws Workspace
 	// Larger tolerance -> more matches -> lower entropy (k=0.35 <= k=0.2).
 	rng := rand.New(rand.NewSource(13))
 	xs := make([]float64, 300)
 	for i := range xs {
 		xs[i] = rng.NormFloat64()
 	}
-	h02, err := SampleK(xs, 2, 0.2)
+	h02, err := ws.SampleK(xs, 2, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h035, err := SampleK(xs, 2, 0.35)
+	h035, err := ws.SampleK(xs, 2, 0.35)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,122 +306,42 @@ func TestSampleEntropyToleranceMonotone(t *testing.T) {
 }
 
 func TestSampleEntropyDegenerate(t *testing.T) {
-	h, err := Sample([]float64{1, 2}, 2, 0.5)
+	var ws Workspace
+	h, err := ws.Sample([]float64{1, 2}, 2, 0.5)
 	if err != nil || h != 0 {
 		t.Error("too-short input should give 0")
 	}
 	// Constant signal: everything matches, -log(1) = 0.
 	constant := make([]float64, 64)
-	h, err = Sample(constant, 2, 0.1)
+	h, err = ws.Sample(constant, 2, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	approx(t, h, 0, 1e-12, "constant SampEn")
-	if _, err := Sample([]float64{1, 2, 3}, 0, 0.1); err == nil {
+	if _, err := ws.Sample([]float64{1, 2, 3}, 0, 0.1); err == nil {
 		t.Error("m=0 should error")
 	}
-	if _, err := Sample([]float64{1, 2, 3}, 2, -1); err == nil {
+	if _, err := ws.Sample([]float64{1, 2, 3}, 2, -1); err == nil {
 		t.Error("negative tolerance should error")
 	}
-	if _, err := SampleK([]float64{1, 2, 3}, 2, -0.1); err == nil {
+	if _, err := ws.SampleK([]float64{1, 2, 3}, 2, -0.1); err == nil {
 		t.Error("negative k should error")
 	}
-	h, err = SampleK(nil, 2, 0.2)
+	h, err = ws.SampleK(nil, 2, 0.2)
 	if err != nil || h != 0 {
 		t.Error("empty SampleK should give 0")
 	}
 }
 
-func TestApproximateEntropy(t *testing.T) {
-	per := make([]float64, 256)
-	for i := range per {
-		per[i] = math.Sin(2 * math.Pi * float64(i) / 16)
-	}
-	rng := rand.New(rand.NewSource(21))
-	noise := make([]float64, 256)
-	for i := range noise {
-		noise[i] = rng.NormFloat64()
-	}
-	hPer, err := Approximate(per, 2, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hNoise, err := Approximate(noise, 2, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hPer >= hNoise {
-		t.Errorf("periodic ApEn %g should be below noise ApEn %g", hPer, hNoise)
-	}
-}
-
-func TestApproximateErrors(t *testing.T) {
-	if _, err := Approximate([]float64{1, 2, 3}, 0, 0.1); err == nil {
-		t.Error("m=0 should error")
-	}
-	if _, err := Approximate([]float64{1, 2, 3}, 2, -0.5); err == nil {
-		t.Error("negative r should error")
-	}
-	h, err := Approximate([]float64{1}, 2, 0.1)
-	if err != nil || h != 0 {
-		t.Error("short input should give 0")
-	}
-}
-
-func TestMultiscaleWhiteNoiseDecreases(t *testing.T) {
-	// Coarse-graining averages white noise toward zero variance at a
-	// fixed absolute tolerance r, so its SampEn profile falls with
-	// scale; that decline is the classic multiscale signature.
-	rng := rand.New(rand.NewSource(31))
-	xs := make([]float64, 4000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	prof, err := Multiscale(xs, 2, 0.3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prof) != 5 {
-		t.Fatalf("profile length %d", len(prof))
-	}
-	if prof[4] >= prof[0] {
-		t.Errorf("white-noise multiscale entropy should fall: scale1 %g vs scale5 %g", prof[0], prof[4])
-	}
-	for i, h := range prof {
-		if h < 0 {
-			t.Errorf("scale %d entropy %g negative", i+1, h)
-		}
-	}
-}
-
-func TestMultiscaleErrors(t *testing.T) {
-	if _, err := Multiscale([]float64{1, 2, 3}, 2, 0.2, 0); err == nil {
-		t.Error("0 scales should fail")
-	}
-	if _, err := Multiscale([]float64{1, 2, 3}, 0, 0.2, 2); err == nil {
-		t.Error("invalid m should propagate")
-	}
-}
-
-func TestCoarseGrainIdentityAtScale1(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := coarseGrain(xs, 1); &got[0] != &xs[0] {
-		t.Error("scale 1 should return the input")
-	}
-	c2 := coarseGrain(xs, 2)
-	if len(c2) != 2 || c2[0] != 1.5 || c2[1] != 3.5 {
-		t.Errorf("coarseGrain scale 2 = %v", c2)
-	}
-}
-
 func TestSampleEntropyNonNegativeProperty(t *testing.T) {
+	var ws Workspace
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		xs := make([]float64, 120)
 		for i := range xs {
 			xs[i] = rng.NormFloat64()
 		}
-		h, err := SampleK(xs, 2, 0.2)
+		h, err := ws.SampleK(xs, 2, 0.2)
 		return err == nil && h >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -84,21 +84,13 @@ func TestSampleSortedFastPathEquivalence(t *testing.T) {
 		for _, m := range []int{1, 2, 3} {
 			for _, k := range []float64{0, 0.1, 0.2, 0.35, 1.5} {
 				r := k * stats.StdDev(xs)
-				got, err := Sample(xs, m, r)
+				var ws Workspace
+				got, err := ws.Sample(xs, m, r)
 				if err != nil {
 					t.Fatalf("%s m=%d k=%g: %v", name, m, k, err)
 				}
-				var ws Workspace
-				gotWS, err := ws.Sample(xs, m, r)
-				if err != nil {
-					t.Fatalf("%s m=%d k=%g (workspace): %v", name, m, k, err)
-				}
-				want := bruteSample(xs, m, r)
-				if got != want {
+				if want := bruteSample(xs, m, r); got != want {
 					t.Fatalf("%s m=%d k=%g: fast path %v, brute force %v", name, m, k, got, want)
-				}
-				if gotWS != want {
-					t.Fatalf("%s m=%d k=%g: workspace path %v, brute force %v", name, m, k, gotWS, want)
 				}
 			}
 		}
@@ -110,7 +102,8 @@ func TestSampleSortedFastPathEquivalence(t *testing.T) {
 // still agree with the reference.
 func TestSampleNaNFallback(t *testing.T) {
 	xs := []float64{1, 2, math.NaN(), 2, 1, 2, 1, 2, 1}
-	got, err := Sample(xs, 2, 0.5)
+	var ws Workspace
+	got, err := ws.Sample(xs, 2, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +113,9 @@ func TestSampleNaNFallback(t *testing.T) {
 }
 
 // TestWorkspaceMatchesPackageFunctions reuses one workspace across many
-// different inputs and checks every estimator against its package-level
-// form — scratch reuse must never leak state between calls.
+// different inputs and checks every estimator against a fresh
+// workspace, the one-off form of each call — scratch reuse must never
+// leak state between calls.
 func TestWorkspaceMatchesPackageFunctions(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var ws Workspace
@@ -132,7 +126,7 @@ func TestWorkspaceMatchesPackageFunctions(t *testing.T) {
 			xs[i] = rng.NormFloat64() * float64(1+trial%5)
 		}
 		for _, order := range []int{3, 5, 7} {
-			want, err1 := Permutation(xs, order)
+			want, err1 := new(Workspace).Permutation(xs, order)
 			got, err2 := ws.Permutation(xs, order)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
@@ -141,7 +135,7 @@ func TestWorkspaceMatchesPackageFunctions(t *testing.T) {
 				t.Fatalf("trial %d: workspace Permutation(n=%d) %v != %v", trial, order, got, want)
 			}
 		}
-		want, err1 := RenyiSignal(xs, 2, 16)
+		want, err1 := new(Workspace).RenyiSignal(xs, 2, 16)
 		got, err2 := ws.RenyiSignal(xs, 2, 16)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
@@ -149,7 +143,7 @@ func TestWorkspaceMatchesPackageFunctions(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: workspace RenyiSignal %v != %v", trial, got, want)
 		}
-		want, err1 = ShannonSignal(xs, 16)
+		want, err1 = new(Workspace).ShannonSignal(xs, 16)
 		got, err2 = ws.ShannonSignal(xs, 16)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
@@ -157,7 +151,7 @@ func TestWorkspaceMatchesPackageFunctions(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: workspace ShannonSignal %v != %v", trial, got, want)
 		}
-		want, err1 = SampleK(xs, 2, 0.2)
+		want, err1 = new(Workspace).SampleK(xs, 2, 0.2)
 		got, err2 = ws.SampleK(xs, 2, 0.2)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)

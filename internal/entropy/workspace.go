@@ -11,9 +11,9 @@ import (
 // Workspace owns the reusable scratch of the entropy estimators: the
 // ordinal-pattern tally of permutation entropy, the amplitude histogram
 // behind Rényi/Shannon, and the sorted index buffer of the sample
-// entropy fast path. All methods produce results bit-identical to the
-// package-level functions while allocating nothing in steady state. The
-// zero value is ready to use; a Workspace is not safe for concurrent
+// entropy fast path. A reused workspace gives results bit-identical to
+// a fresh one while allocating nothing in steady state. The zero value
+// is ready to use; a Workspace is not safe for concurrent
 // use: one per goroutine; a serving worker's sessions share one.
 type Workspace struct {
 	counts map[uint64]int
@@ -22,7 +22,13 @@ type Workspace struct {
 	order  []int32
 }
 
-// Permutation is the workspace form of the package-level Permutation.
+// Permutation returns the permutation entropy of order n (embedding
+// dimension) with unit delay, normalized to [0, 1] by log(n!). It follows
+// Bandt and Pompe, "Permutation Entropy: A Natural Complexity Measure for
+// Time Series". The paper uses n = 5 and n = 7 on DWT subbands.
+//
+// Signals shorter than n return 0 (no ordinal patterns exist). Ties are
+// broken by temporal order, the standard convention.
 //
 //selflearn:hotpath
 func (ws *Workspace) Permutation(xs []float64, n int) (float64, error) {
@@ -97,7 +103,11 @@ func (ws *Workspace) histogram(xs []float64, nbins int) ([]int, int) {
 	return counts, total
 }
 
-// RenyiSignal is the workspace form of the package-level RenyiSignal.
+// RenyiSignal computes the Rényi entropy of order alpha (nats) of a
+// signal by histogramming it into nbins amplitude bins; alpha == 1 gives
+// Shannon entropy, its limit. This is how the paper's "third level Rényi
+// entropy" feature is realised on DWT coefficients. Empty input
+// returns 0.
 //
 //selflearn:hotpath
 func (ws *Workspace) RenyiSignal(xs []float64, alpha float64, nbins int) (float64, error) {
@@ -117,8 +127,7 @@ func (ws *Workspace) RenyiSignal(xs []float64, alpha float64, nbins int) (float6
 	if alpha == 1 {
 		return shannonCounts(counts, total), nil
 	}
-	// Identical accumulation to Renyi(Probabilities(counts), alpha):
-	// empty bins are skipped in bin order.
+	// Empty bins are skipped, in bin order.
 	var s float64
 	for _, c := range counts {
 		if c > 0 {
@@ -131,7 +140,8 @@ func (ws *Workspace) RenyiSignal(xs []float64, alpha float64, nbins int) (float6
 	return math.Log(s) / (1 - alpha), nil
 }
 
-// ShannonSignal is the workspace form of the package-level ShannonSignal.
+// ShannonSignal computes the Shannon entropy (nats) of a signal via an
+// nbins amplitude histogram. Empty input returns 0.
 func (ws *Workspace) ShannonSignal(xs []float64, nbins int) (float64, error) {
 	if len(xs) == 0 {
 		return 0, nil
@@ -157,8 +167,15 @@ func shannonCounts(counts []int, total int) float64 {
 	return h
 }
 
-// Sample is the workspace form of the package-level Sample: the sorted
-// index scratch is reused across calls.
+// Sample returns the sample entropy SampEn(m, r) of xs following
+// Richman–Moorman as used by Chen et al. (paper reference [27]): the
+// negative logarithm of the conditional probability that sequences
+// matching for m points (Chebyshev distance <= r) also match for m+1
+// points. Self-matches are excluded.
+//
+// r is an absolute tolerance; use SampleK to express it as k·σ as the
+// paper does (k = 0.2 and k = 0.35). Degenerate inputs (too short, or no
+// matches) return 0. The sorted index scratch is reused across calls.
 func (ws *Workspace) Sample(xs []float64, m int, r float64) (float64, error) {
 	if m < 1 {
 		return 0, fmt.Errorf("entropy: sample entropy m must be >= 1, got %d", m)
@@ -179,7 +196,8 @@ func (ws *Workspace) Sample(xs []float64, m int, r float64) (float64, error) {
 	return -math.Log(float64(a) / float64(b)), nil
 }
 
-// SampleK is the workspace form of the package-level SampleK.
+// SampleK returns Sample(xs, m, k·σ(xs)), the paper's parameterisation
+// ("sixth level sample entropy for k = 0.2 and k = 0.35").
 //
 //selflearn:hotpath
 func (ws *Workspace) SampleK(xs []float64, m int, k float64) (float64, error) {

@@ -47,78 +47,3 @@ func WriteCSV(w io.Writer, res *CorpusResult) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// ReadCSV parses a stream produced by WriteCSV back into per-seizure
-// results (the aggregation fields of the patients are recomputed).
-func ReadCSV(r io.Reader) ([]SeizureResult, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("eval: empty CSV")
-	}
-	if len(records[0]) != 7 || records[0][0] != "patient" {
-		return nil, fmt.Errorf("eval: unexpected CSV header %v", records[0])
-	}
-	var out []SeizureResult
-	for i, rec := range records[1:] {
-		if len(rec) != 7 {
-			return nil, fmt.Errorf("eval: row %d has %d fields", i+1, len(rec))
-		}
-		ordinal, err := strconv.Atoi(rec[1])
-		if err != nil {
-			return nil, fmt.Errorf("eval: row %d ordinal: %w", i+1, err)
-		}
-		index, err := strconv.Atoi(rec[2])
-		if err != nil {
-			return nil, fmt.Errorf("eval: row %d seizure: %w", i+1, err)
-		}
-		outlier, err := strconv.ParseBool(rec[3])
-		if err != nil {
-			return nil, fmt.Errorf("eval: row %d outlier: %w", i+1, err)
-		}
-		mean, err := strconv.ParseFloat(rec[4], 64)
-		if err != nil {
-			return nil, fmt.Errorf("eval: row %d mean δ: %w", i+1, err)
-		}
-		norm, err := strconv.ParseFloat(rec[5], 64)
-		if err != nil {
-			return nil, fmt.Errorf("eval: row %d δ_norm: %w", i+1, err)
-		}
-		sr := SeizureResult{
-			PatientID:    rec[0],
-			Ordinal:      ordinal,
-			Index:        index,
-			Outlier:      outlier,
-			MeanDelta:    mean,
-			GeoDeltaNorm: norm,
-		}
-		if rec[6] != "" {
-			for _, f := range splitSemis(rec[6]) {
-				v, err := strconv.ParseFloat(f, 64)
-				if err != nil {
-					return nil, fmt.Errorf("eval: row %d sample δ %q: %w", i+1, f, err)
-				}
-				sr.Deltas = append(sr.Deltas, v)
-			}
-		}
-		out = append(out, sr)
-	}
-	return out, nil
-}
-
-func splitSemis(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ';' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
-}

@@ -31,10 +31,9 @@ type DetectionMetrics struct {
 
 // ScoreDetections scores a stream of alarm times (seconds) against
 // ground-truth seizure intervals. An alarm counts as detecting an event
-// when it falls within [start−tolerance, end+tolerance] — the same
-// matching rule as rt.ScoreEvents — and each event consumes at most one
-// alarm, greedily in time order. duration is the scored stream length
-// in seconds.
+// when it falls within [start−tolerance, end+tolerance], and each event
+// consumes at most one alarm, greedily in time order. duration is the
+// scored stream length in seconds.
 func ScoreDetections(alarms []float64, events []signal.Interval, tolerance, duration float64) DetectionMetrics {
 	m := DetectionMetrics{Events: len(events)}
 	sorted := append([]float64(nil), alarms...)

@@ -37,6 +37,12 @@ func TestScoreDetections(t *testing.T) {
 	if m.Detected != 1 || m.FalseAlarms != 1 {
 		t.Fatalf("double-counted alarms: %+v", m)
 	}
+
+	// One alarm cannot count for two overlapping events.
+	m = ScoreDetections([]float64{100}, []signal.Interval{{Start: 90, End: 110}, {Start: 95, End: 120}}, 0, 3600)
+	if m.Detected != 1 || m.FalseAlarms != 0 {
+		t.Fatalf("one alarm matched two events: %+v", m)
+	}
 }
 
 // TestScoreDetectionsDegenerate: empty alarm lists, zero events and

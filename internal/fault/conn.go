@@ -59,9 +59,6 @@ func WrapConn(conn net.Conn, inj *Injector, peer string) net.Conn {
 	return &Conn{Conn: conn, inj: inj, peer: peer}
 }
 
-// Peer returns the label rules match this connection on.
-func (c *Conn) Peer() string { return c.peer }
-
 func (c *Conn) Close() error {
 	c.closed.Store(true)
 	return c.Conn.Close()

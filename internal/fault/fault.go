@@ -28,11 +28,6 @@
 // load one from -faults plan.json.
 package fault
 
-import (
-	"net"
-	"time"
-)
-
 // Kind names one fault class. Conn kinds act on wrapped connections,
 // Listener kinds on accept, Store kinds on the model store.
 type Kind string
@@ -96,7 +91,3 @@ func (k Kind) valid() bool {
 	}
 	return false
 }
-
-// Dialer is the function shape cluster.Options.Dialer expects;
-// Injector.Dial satisfies it.
-type Dialer func(addr string, timeout time.Duration) (net.Conn, error)

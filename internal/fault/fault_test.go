@@ -3,6 +3,7 @@ package fault
 import (
 	"encoding/json"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -60,8 +61,8 @@ func TestScheduleDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FormatSchedule(ws1) != FormatSchedule(ws2) {
-		t.Fatalf("same plan, different schedules:\n%s\nvs\n%s", FormatSchedule(ws1), FormatSchedule(ws2))
+	if !slices.Equal(ws1, ws2) {
+		t.Fatalf("same plan, different schedules:\n%+v\nvs\n%+v", ws1, ws2)
 	}
 
 	data, err := json.Marshal(plan)
@@ -76,7 +77,7 @@ func TestScheduleDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FormatSchedule(ws1) != FormatSchedule(ws3) {
+	if !slices.Equal(ws1, ws3) {
 		t.Fatal("schedule changed across a JSON round trip")
 	}
 
@@ -85,7 +86,7 @@ func TestScheduleDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if FormatSchedule(ws1) == FormatSchedule(ws4) {
+	if slices.Equal(ws1, ws4) {
 		t.Fatal("different seeds produced identical jittered schedules")
 	}
 
@@ -132,9 +133,6 @@ func TestInjectorUnarmedInert(t *testing.T) {
 	if _, ok := inj.Active("any", KindPartition); ok {
 		t.Fatal("unarmed injector reported an active window")
 	}
-	if inj.Armed() || inj.Elapsed() != 0 {
-		t.Fatal("unarmed injector is keeping time")
-	}
 }
 
 func TestInjectorWindowsAndPeers(t *testing.T) {
@@ -162,10 +160,11 @@ func TestInjectorWindowsAndPeers(t *testing.T) {
 			t.Fatalf("wildcard window missed peer %q", peer)
 		}
 	}
-	// Arm is idempotent: re-arming must not reset plan time.
+	// Arm is idempotent: re-arming must not reset plan time to 0, where
+	// the wildcard window is not active yet.
 	inj.Arm()
-	if got := inj.Elapsed(); got != 5500*time.Millisecond {
-		t.Fatalf("Elapsed after re-arm = %v, want 5.5s", got)
+	if _, ok := inj.Active("a", KindReset); !ok {
+		t.Fatal("re-arm reset plan time")
 	}
 }
 

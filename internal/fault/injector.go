@@ -42,15 +42,6 @@ func New(plan *Plan) (*Injector, error) {
 	return in, nil
 }
 
-// MustNew is New for plans already validated (tests, trusted callers).
-func MustNew(plan *Plan) *Injector {
-	in, err := New(plan)
-	if err != nil {
-		panic(err)
-	}
-	return in
-}
-
 // SetClock replaces the injector's clock; call before Arm. Tests use
 // it to step plan time without sleeping.
 func (in *Injector) SetClock(now func() time.Time) {
@@ -68,23 +59,6 @@ func (in *Injector) Arm() {
 		in.epoch = in.now() //selflearn:locked-ok the clock is a leaf (time.Now or a test fake); it never re-enters the injector
 	}
 	in.mu.Unlock()
-}
-
-// Armed reports whether plan time is running.
-func (in *Injector) Armed() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return !in.epoch.IsZero()
-}
-
-// Elapsed is the current plan time; zero before Arm.
-func (in *Injector) Elapsed() time.Duration {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.epoch.IsZero() {
-		return 0
-	}
-	return in.now().Sub(in.epoch) //selflearn:locked-ok the clock is a leaf (time.Now or a test fake); it never re-enters the injector
 }
 
 // Windows returns a copy of the expanded schedule.

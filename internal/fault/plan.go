@@ -155,18 +155,6 @@ func (p *Plan) Schedule() ([]Window, error) {
 	return ws, nil
 }
 
-// FormatSchedule renders a window list one line per window — the
-// byte-identity witness the determinism tests pin.
-func FormatSchedule(ws []Window) string {
-	var b strings.Builder
-	for _, w := range ws {
-		fmt.Fprintf(&b, "%s %s %d %d %d %g %d %g\n",
-			w.Kind, w.Peer, int64(w.Start), int64(w.End),
-			int64(w.Latency), w.KBps, w.AfterBytes, w.Fraction)
-	}
-	return b.String()
-}
-
 // LoadPlan parses a JSON plan, rejecting unknown fields and invalid
 // rules — a typo in a chaos plan must fail loudly, not silently run a
 // clean baseline.

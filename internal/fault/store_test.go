@@ -103,13 +103,20 @@ func TestStoreSaveLoadErrWindows(t *testing.T) {
 	}
 }
 
-// TestStoreTornWriteDegradesWithoutFile: a MemoryStore has no file to
-// tear, so the fault must degrade to a save error, not pass silently.
+// filelessStore is a ModelStore with no file behind it.
+type filelessStore struct{}
+
+func (filelessStore) LoadVersion(string) (*forest.FlatForest, uint64, error) { return nil, 0, nil }
+func (filelessStore) SaveVersion(string, *forest.FlatForest, uint64) error   { return nil }
+
+// TestStoreTornWriteDegradesWithoutFile: a store with no file has
+// nothing to tear, so the fault must degrade to a save error, not pass
+// silently.
 func TestStoreTornWriteDegradesWithoutFile(t *testing.T) {
 	inj, _ := armed(t, &Plan{Seed: 1, Rules: []Rule{
 		{Peer: "store", Kind: KindTornWrite, Start: 0, Duration: 1},
 	}})
-	st := NewStore(serve.NewMemoryStore(), inj, "store")
+	st := NewStore(filelessStore{}, inj, "store")
 	if err := st.SaveVersion("p1", tinyFlat(t), 1); !errors.Is(err, ErrStoreFault) {
 		t.Fatalf("torn save on a fileless store = %v, want ErrStoreFault", err)
 	}

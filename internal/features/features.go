@@ -43,20 +43,6 @@ func (m *Matrix) TimeOf(i int) float64 {
 	return m.Window.WindowStart(i, m.SampleRate)
 }
 
-// RowsPerSecond returns how many rows cover one second (the inverse hop).
-func (m *Matrix) RowsPerSecond() float64 {
-	return 1 / m.Window.Hop().Seconds()
-}
-
-// Column extracts feature column f as a fresh slice.
-func (m *Matrix) Column(f int) []float64 {
-	out := make([]float64, len(m.Rows))
-	for i, r := range m.Rows {
-		out[i] = r[f]
-	}
-	return out
-}
-
 // Select returns a new Matrix keeping only the given feature columns.
 func (m *Matrix) Select(cols []int) (*Matrix, error) {
 	out := &Matrix{Window: m.Window, SampleRate: m.SampleRate}

@@ -81,9 +81,6 @@ func TestExtract10Shape(t *testing.T) {
 	if m.TimeOf(10) != 10 {
 		t.Errorf("TimeOf(10) = %g, want 10 s", m.TimeOf(10))
 	}
-	if m.RowsPerSecond() != 1 {
-		t.Errorf("RowsPerSecond = %g, want 1", m.RowsPerSecond())
-	}
 	for i, row := range m.Rows {
 		for f, v := range row {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -213,10 +210,6 @@ func TestColumnAndSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := m.Column(2)
-	if len(col) != m.NumRows() {
-		t.Fatal("column length mismatch")
-	}
 	sel, err := m.Select([]int{2, 0})
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +317,10 @@ func TestExtractionOnCatalogRecord(t *testing.T) {
 	}
 	// Delta power column should have strong positive outliers relative to
 	// its median somewhere (seizure or artifact).
-	col := m.Column(2)
+	col := make([]float64, m.NumRows())
+	for i, row := range m.Rows {
+		col[i] = row[2]
+	}
 	med := stats.Median(col)
 	if stats.Max(col) < 10*math.Max(med, 1e-12) {
 		t.Error("expected extreme delta-power excursions in an outlier record")

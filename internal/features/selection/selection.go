@@ -178,19 +178,3 @@ func BackwardElimination(X [][]float64, labels []bool) ([]int, error) {
 	}
 	return rank, nil
 }
-
-// TopK runs BackwardElimination and returns the k most relevant feature
-// indices in relevance order.
-func TopK(X [][]float64, labels []bool, k int) ([]int, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("selection: invalid k %d", k)
-	}
-	rank, err := BackwardElimination(X, labels)
-	if err != nil {
-		return nil, err
-	}
-	if k > len(rank) {
-		k = len(rank)
-	}
-	return rank[:k], nil
-}

@@ -105,27 +105,6 @@ func TestBackwardEliminationErrors(t *testing.T) {
 	}
 }
 
-func TestTopK(t *testing.T) {
-	X, labels := syntheticData(400, 8, 3)
-	top, err := TopK(X, labels, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 2 || top[0] != 0 {
-		t.Errorf("TopK = %v", top)
-	}
-	all, err := TopK(X, labels, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 8 {
-		t.Errorf("oversized k should clamp to %d, got %d", 8, len(all))
-	}
-	if _, err := TopK(X, labels, 0); err == nil {
-		t.Error("k=0 should fail")
-	}
-}
-
 func TestRedundantCopyEliminatedEarly(t *testing.T) {
 	// Feature 2 is a near-copy of the informative feature 0; the
 	// relevance-minus-redundancy criterion should rank the duplicate

@@ -1,11 +1,5 @@
 package features
 
-import (
-	"errors"
-
-	"selflearn/internal/signal"
-)
-
 // Streamer computes the paper's 10-feature rows sample by sample, the
 // way the wearable's firmware does: two synchronized channel streams
 // feed ring buffers of one analysis window (4 s); every hop (1 s) a
@@ -25,7 +19,6 @@ type Streamer struct {
 	pos        int       // next write slot
 	filled     int       // samples buffered so far (caps at winSamples)
 	sinceEmit  int       // samples since the last emitted row
-	rows       int       // rows emitted
 }
 
 // NewStreamer builds a streaming extractor for sampling rate fs on a
@@ -51,9 +44,6 @@ func (ws *Workspace) NewStreamer() *Streamer {
 		buf1:       make([]float64, ws.win),
 	}
 }
-
-// RowsEmitted returns how many feature rows have been produced.
-func (s *Streamer) RowsEmitted() int { return s.rows }
 
 // NumFeatures returns the width of every emitted feature row, so
 // consumers sizing storage for rows derive it rather than assume it.
@@ -105,44 +95,5 @@ func (s *Streamer) emit() ([]float64, bool, error) {
 	}
 	ws.row = row
 	s.sinceEmit = 0
-	s.rows++
 	return row, true, nil
-}
-
-// Reset clears the stream state.
-func (s *Streamer) Reset() {
-	s.pos, s.filled, s.sinceEmit, s.rows = 0, 0, 0, 0
-}
-
-// StreamRecording pushes an entire recording through a fresh Streamer and
-// collects the emitted rows into a Matrix; it is the streaming
-// counterpart of Extract10 and produces an identical result.
-func StreamRecording(rec *signal.Recording, cfg Config) (*Matrix, error) {
-	c0, c1, err := requireTwoChannels(rec)
-	if err != nil {
-		return nil, err
-	}
-	st, err := NewStreamer(rec.SampleRate, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(c0) < st.winSamples {
-		return nil, errors.New("features: recording shorter than one window")
-	}
-	m := &Matrix{
-		Names:      PaperFeatureNames(),
-		Window:     cfg.Window,
-		SampleRate: rec.SampleRate,
-	}
-	for i := range c0 {
-		row, ready, err := st.Push(c0[i], c1[i])
-		if err != nil {
-			return nil, err
-		}
-		if ready {
-			// Push reuses its emission buffer; retained rows are copied.
-			m.Rows = append(m.Rows, append([]float64(nil), row...))
-		}
-	}
-	return m, nil
 }

@@ -25,18 +25,28 @@ func TestStreamerMatchesBatchExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := StreamRecording(rec, DefaultConfig())
+	st, err := NewStreamer(rec.SampleRate, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed.NumRows() != batch.NumRows() {
-		t.Fatalf("streamed %d rows vs batch %d", streamed.NumRows(), batch.NumRows())
+	var streamed [][]float64
+	for i := range rec.Data[0] {
+		row, ready, err := st.Push(rec.Data[0][i], rec.Data[1][i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ready {
+			streamed = append(streamed, append([]float64(nil), row...))
+		}
+	}
+	if len(streamed) != batch.NumRows() {
+		t.Fatalf("streamed %d rows vs batch %d", len(streamed), batch.NumRows())
 	}
 	for i := range batch.Rows {
 		for f := range batch.Rows[i] {
-			if batch.Rows[i][f] != streamed.Rows[i][f] {
+			if batch.Rows[i][f] != streamed[i][f] {
 				t.Fatalf("row %d feature %d: stream %g vs batch %g",
-					i, f, streamed.Rows[i][f], batch.Rows[i][f])
+					i, f, streamed[i][f], batch.Rows[i][f])
 			}
 		}
 	}
@@ -66,39 +76,6 @@ func TestStreamerEmissionTiming(t *testing.T) {
 	if emitted != 7 { // (2560-1024)/256+1
 		t.Errorf("emitted %d rows in 10 s, want 7", emitted)
 	}
-	if st.RowsEmitted() != emitted {
-		t.Error("RowsEmitted out of sync")
-	}
-}
-
-func TestStreamerReset(t *testing.T) {
-	st, err := NewStreamer(256, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1500; i++ {
-		if _, _, err := st.Push(1, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.Reset()
-	if st.RowsEmitted() != 0 {
-		t.Error("reset should clear the row count")
-	}
-	// After reset, needs a full window again before emitting.
-	count := 0
-	for i := 0; i < 1023; i++ {
-		_, ready, err := st.Push(0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ready {
-			count++
-		}
-	}
-	if count != 0 {
-		t.Error("no row should emit before a full window after reset")
-	}
 }
 
 func TestNewStreamerErrors(t *testing.T) {
@@ -112,19 +89,6 @@ func TestNewStreamerErrors(t *testing.T) {
 	}
 }
 
-func TestStreamRecordingErrors(t *testing.T) {
-	rec, err := synth.Generate(synth.RecordConfig{
-		PatientID: "p", RecordID: "r", Seed: 1, Duration: 2,
-		Background: synth.DefaultBackground(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := StreamRecording(rec, DefaultConfig()); err == nil {
-		t.Error("2 s recording (shorter than a window) should fail")
-	}
-}
-
 // streamedRow is one emitted feature row, copied on emission, with the
 // number of samples its streamer had consumed when it emitted.
 type streamedRow struct {
@@ -134,15 +98,11 @@ type streamedRow struct {
 
 // TestSharedWorkspaceMatchesPrivateStreamers drives nine streamers on
 // one Workspace — distinct recordings, pushed in chunks of varying
-// length, interleaved round-robin, one of them Reset mid-stream — and
-// checks every row bit for bit, at the same sample index, against a
-// streamer with a workspace of its own fed the same samples.
+// length, interleaved round-robin — and checks every row bit for bit,
+// at the same sample index, against a streamer with a workspace of its
+// own fed the same samples.
 func TestSharedWorkspaceMatchesPrivateStreamers(t *testing.T) {
-	const (
-		streams = 9
-		reset   = 4    // the streamer Reset mid-stream
-		resetAt = 5000 // samples it has consumed when Reset
-	)
+	const streams = 9
 	cfg := DefaultConfig()
 	recs := make([][2][]float64, streams)
 	var fs float64
@@ -166,7 +126,7 @@ func TestSharedWorkspaceMatchesPrivateStreamers(t *testing.T) {
 	}
 
 	// Reference: each recording alone, sample by sample, on a private
-	// workspace, Reset at the same sample index.
+	// workspace.
 	want := make([][]streamedRow, streams)
 	for i, rec := range recs {
 		st, err := NewStreamer(fs, cfg)
@@ -174,9 +134,6 @@ func TestSharedWorkspaceMatchesPrivateStreamers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := range rec[0] {
-			if i == reset && k == resetAt {
-				st.Reset()
-			}
 			row, ready, err := st.Push(rec[0][k], rec[1][k])
 			if err != nil {
 				t.Fatal(err)
@@ -203,9 +160,6 @@ func TestSharedWorkspaceMatchesPrivateStreamers(t *testing.T) {
 		for i, st := range shared {
 			rec := recs[i]
 			end := min(pos[i]+chunks[(round+i)%len(chunks)], len(rec[0]))
-			if i == reset && pos[i] < resetAt && end > resetAt {
-				end = resetAt
-			}
 			for k := pos[i]; k < end; k++ {
 				row, ready, err := st.Push(rec[0][k], rec[1][k])
 				if err != nil {
@@ -216,9 +170,6 @@ func TestSharedWorkspaceMatchesPrivateStreamers(t *testing.T) {
 				}
 			}
 			pos[i] = end
-			if i == reset && end == resetAt {
-				st.Reset()
-			}
 			if end < len(rec[0]) {
 				active++
 			}

@@ -201,8 +201,7 @@ func (ws *Workspace) Features54Into(dst []float64, w []float64) ([]float64, erro
 
 	// Subband energies: absolute (canonical ordering lives in
 	// AppendSubbandEnergies: details in level order, then the
-	// approximation), then the same normalized — all zeros stay zeros,
-	// matching RelativeSubbandEnergies.
+	// approximation), then the same normalized — all zeros stay zeros.
 	eBase := len(out)
 	out = ws.dec.AppendSubbandEnergies(out)
 	var eTot float64

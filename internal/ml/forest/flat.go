@@ -90,19 +90,6 @@ func (ff *FlatForest) QuantParity(X [][]float64) bool {
 	return true
 }
 
-// NumTrees returns the ensemble size.
-func (ff *FlatForest) NumTrees() int { return len(ff.roots) }
-
-// NumNodes returns the total node count across all trees.
-func (ff *FlatForest) NumNodes() int { return len(ff.nodes) }
-
-// NumFeatures returns the feature dimensionality the forest was trained on.
-func (ff *FlatForest) NumFeatures() int { return ff.nFeatures }
-
-// OOBError returns the out-of-bag misclassification estimate carried
-// over from the pointer forest (NaN when unavailable).
-func (ff *FlatForest) OOBError() float64 { return ff.oob }
-
 // step advances one descent cursor by a single level. The child select
 // is arithmetic — b materializes as a SETcc, so the near-random split
 // outcome never reaches the branch predictor (a compare-and-jump here
@@ -168,13 +155,6 @@ func (ff *FlatForest) votes(x []float64) int {
 		votes += n.Right
 	}
 	return int(votes)
-}
-
-// Prob returns the fraction of trees voting positive for x.
-//
-//selflearn:hotpath
-func (ff *FlatForest) Prob(x []float64) float64 {
-	return float64(ff.votes(x)) / float64(len(ff.roots))
 }
 
 // Predict returns the majority-vote class for x. It allocates nothing.
@@ -310,11 +290,6 @@ func (ff *FlatForest) parallelVotes(votes []int32, X [][]float64, procs int) {
 	}
 }
 
-// PredictBatch classifies every row of X into a fresh slice.
-func (ff *FlatForest) PredictBatch(X [][]float64) []bool {
-	return ff.PredictBatchInto(make([]bool, len(X)), X)
-}
-
 // MarshalJSON encodes the flat forest in the exact interchange format of
 // Forest.MarshalJSON (preorder node arrays per tree), so checkpoints
 // written from either representation load into either.
@@ -370,20 +345,9 @@ func (ff *FlatForest) MarshalJSON() ([]byte, error) {
 	return json.Marshal(dto)
 }
 
-// Save writes the flat forest as JSON to w, in the same format as
-// Forest.Save.
-func (ff *FlatForest) Save(w io.Writer) error {
-	data, err := ff.MarshalJSON()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// LoadFlat reads a forest checkpoint (written by either Forest.Save or
-// FlatForest.Save) directly into the flat representation, reusing the
-// pointer loader's link validation.
+// LoadFlat reads a forest checkpoint (written by Forest.Save or
+// FlatForest.MarshalJSON) directly into the flat representation,
+// reusing the pointer loader's link validation.
 func LoadFlat(r io.Reader) (*FlatForest, error) {
 	f, err := Load(r)
 	if err != nil {

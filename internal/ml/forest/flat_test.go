@@ -2,6 +2,7 @@ package forest
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -45,25 +46,25 @@ func TestFlattenEquivalence(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("n=%d_nf=%d_trees=%d", tc.n, tc.nf, tc.trees), func(t *testing.T) {
 			f, ff, probe := trainedPair(t, int64(tc.n), tc.n, tc.nf, tc.trees)
-			if ff.NumTrees() != f.NumTrees() {
-				t.Fatalf("NumTrees %d vs %d", ff.NumTrees(), f.NumTrees())
+			if len(ff.roots) != f.NumTrees() {
+				t.Fatalf("NumTrees %d vs %d", len(ff.roots), f.NumTrees())
 			}
-			if ff.NumFeatures() != tc.nf {
-				t.Fatalf("NumFeatures = %d, want %d", ff.NumFeatures(), tc.nf)
+			if ff.nFeatures != tc.nf {
+				t.Fatalf("NumFeatures = %d, want %d", ff.nFeatures, tc.nf)
 			}
-			if ff.OOBError() != f.OOBError() {
-				t.Fatalf("OOBError %g vs %g", ff.OOBError(), f.OOBError())
+			if ff.oob != f.OOBError() {
+				t.Fatalf("OOBError %g vs %g", ff.oob, f.OOBError())
 			}
 			for i, x := range probe {
 				if ff.Predict(x) != f.Predict(x) {
 					t.Fatalf("row %d: flat Predict diverges", i)
 				}
-				if ff.Prob(x) != f.Prob(x) {
-					t.Fatalf("row %d: flat Prob %g vs %g", i, ff.Prob(x), f.Prob(x))
+				if p := float64(ff.votes(x)) / float64(len(ff.roots)); p != f.Prob(x) {
+					t.Fatalf("row %d: flat Prob %g vs %g", i, p, f.Prob(x))
 				}
 			}
 			want := f.PredictBatch(probe)
-			got := ff.PredictBatch(probe)
+			got := ff.PredictBatchInto(make([]bool, len(probe)), probe)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("PredictBatch row %d diverges", i)
@@ -79,10 +80,10 @@ func TestFlatPredictBatchParallel(t *testing.T) {
 	f, ff, _ := trainedPair(t, 7, 400, 12, 64)
 	rng := rand.New(rand.NewSource(99))
 	probe, _ := randomSet(rng, 4096, 12)
-	if len(probe)*ff.NumTrees() < parallelWork {
+	if len(probe)*len(ff.roots) < parallelWork {
 		t.Fatalf("batch too small to exercise the parallel path")
 	}
-	got := ff.PredictBatch(probe)
+	got := ff.PredictBatchInto(make([]bool, len(probe)), probe)
 	for i, x := range probe {
 		if got[i] != f.Predict(x) {
 			t.Fatalf("parallel batch row %d diverges", i)
@@ -107,7 +108,7 @@ func TestFlatSerializationRoundTrip(t *testing.T) {
 
 	// Flat → JSON → flat.
 	var buf bytes.Buffer
-	if err := ff.Save(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(ff); err != nil {
 		t.Fatal(err)
 	}
 	ff2, err := LoadFlat(bytes.NewReader(buf.Bytes()))
@@ -115,8 +116,8 @@ func TestFlatSerializationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	agree("flat->flat", ff2.Predict)
-	if ff2.OOBError() != ff.OOBError() {
-		t.Fatalf("OOBError lost in round trip: %g vs %g", ff2.OOBError(), ff.OOBError())
+	if ff2.oob != ff.oob {
+		t.Fatalf("OOBError lost in round trip: %g vs %g", ff2.oob, ff.oob)
 	}
 
 	// Pointer → JSON → flat.
@@ -132,7 +133,7 @@ func TestFlatSerializationRoundTrip(t *testing.T) {
 
 	// Flat → JSON → pointer.
 	buf.Reset()
-	if err := ff.Save(&buf); err != nil {
+	if err := json.NewEncoder(&buf).Encode(ff); err != nil {
 		t.Fatal(err)
 	}
 	fp, err := Load(bytes.NewReader(buf.Bytes()))

@@ -82,20 +82,10 @@ func quantizeForest(ff *FlatForest) *QuantForest {
 	return qf
 }
 
-// NumTrees returns the ensemble size.
-func (qf *QuantForest) NumTrees() int { return len(qf.roots) }
-
-// NumNodes returns the total node count across all trees.
-func (qf *QuantForest) NumNodes() int { return len(qf.nodes) }
-
 // NumFeatures returns the feature dimensionality the forest was trained on.
 //
 //selflearn:hotpath
 func (qf *QuantForest) NumFeatures() int { return qf.nFeatures }
-
-// NodeBytes returns the size of the packed node table in bytes — half
-// of the float forest's, the footprint win the EXPERIMENTS tables track.
-func (qf *QuantForest) NodeBytes() int { return 8 * len(qf.nodes) }
 
 // QuantizeRowInto writes the int16 rank codes of feature row x into
 // dst, which must have capacity for NumFeatures codes, and returns
@@ -169,23 +159,12 @@ func (qf *QuantForest) votes(codes []int16) int {
 	return int(votes)
 }
 
-// Votes returns the positive vote count for a coded row (exported for
-// parity checking; serving uses Predict/PredictBatchInto).
-func (qf *QuantForest) Votes(codes []int16) int { return qf.votes(codes) }
-
 // Predict returns the majority-vote class for a coded row. It
 // allocates nothing.
 //
 //selflearn:hotpath
 func (qf *QuantForest) Predict(codes []int16) bool {
 	return 2*qf.votes(codes) >= len(qf.roots)
-}
-
-// Prob returns the fraction of trees voting positive for a coded row.
-//
-//selflearn:hotpath
-func (qf *QuantForest) Prob(codes []int16) float64 {
-	return float64(qf.votes(codes)) / float64(len(qf.roots))
 }
 
 // PredictBatchInto classifies nRows coded rows laid out contiguously in

@@ -22,7 +22,7 @@ func TestQuantNodeSize(t *testing.T) {
 // must still go left), their neighboring floats, NaN and ±Inf.
 func quantProbe(rng *rand.Rand, ff *FlatForest, base [][]float64) [][]float64 {
 	probe := append([][]float64(nil), base...)
-	nf := ff.NumFeatures()
+	nf := ff.nFeatures
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0}
 	for _, n := range ff.nodes {
 		if n.Feature < 0 {
@@ -63,27 +63,21 @@ func TestQuantParityExhaustive(t *testing.T) {
 			if qf == nil {
 				t.Fatal("trained forest failed to quantize")
 			}
-			if qf.NumTrees() != ff.NumTrees() || qf.NumNodes() != ff.NumNodes() || qf.NumFeatures() != ff.NumFeatures() {
+			if len(qf.roots) != len(ff.roots) || len(qf.nodes) != len(ff.nodes) || qf.NumFeatures() != ff.nFeatures {
 				t.Fatalf("shape mismatch: %d/%d/%d vs %d/%d/%d",
-					qf.NumTrees(), qf.NumNodes(), qf.NumFeatures(),
-					ff.NumTrees(), ff.NumNodes(), ff.NumFeatures())
-			}
-			if qf.NodeBytes() != 8*ff.NumNodes() {
-				t.Fatalf("NodeBytes = %d, want %d", qf.NodeBytes(), 8*ff.NumNodes())
+					len(qf.roots), len(qf.nodes), qf.NumFeatures(),
+					len(ff.roots), len(ff.nodes), ff.nFeatures)
 			}
 			rng := rand.New(rand.NewSource(99))
 			probe := quantProbe(rng, ff, base)
 			codes := make([]int16, qf.NumFeatures())
 			for i, x := range probe {
 				qf.QuantizeRowInto(codes, x)
-				if got, want := qf.Votes(codes), ff.votes(x); got != want {
+				if got, want := qf.votes(codes), ff.votes(x); got != want {
 					t.Fatalf("row %d: quant votes %d, float votes %d", i, got, want)
 				}
 				if qf.Predict(codes) != ff.Predict(x) {
 					t.Fatalf("row %d: Predict diverges", i)
-				}
-				if qf.Prob(codes) != ff.Prob(x) {
-					t.Fatalf("row %d: Prob diverges", i)
 				}
 			}
 			if !ff.QuantParity(probe) {
@@ -206,7 +200,7 @@ func FuzzQuantParity(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b, c, d, e, g float64) {
 		x := []float64{a, b, c, d, e, g}
 		qf.QuantizeRowInto(codes, x)
-		if got, want := qf.Votes(codes), ff.votes(x); got != want {
+		if got, want := qf.votes(codes), ff.votes(x); got != want {
 			t.Fatalf("quant votes %d, float votes %d on %v", got, want, x)
 		}
 	})

@@ -44,9 +44,6 @@ func FromSlices(predicted, actual []bool) (Confusion, error) {
 	return c, nil
 }
 
-// Total returns the number of counted samples.
-func (c Confusion) Total() int { return c.TP + c.FP + c.TN + c.FN }
-
 // Sensitivity (true positive rate, recall): TP/(TP+FN). NaN when the
 // positive class is absent.
 func (c Confusion) Sensitivity() float64 {
@@ -65,32 +62,6 @@ func (c Confusion) Specificity() float64 {
 		return math.NaN()
 	}
 	return float64(c.TN) / float64(den)
-}
-
-// Accuracy: (TP+TN)/total.
-func (c Confusion) Accuracy() float64 {
-	if c.Total() == 0 {
-		return math.NaN()
-	}
-	return float64(c.TP+c.TN) / float64(c.Total())
-}
-
-// Precision: TP/(TP+FP). NaN when nothing was predicted positive.
-func (c Confusion) Precision() float64 {
-	den := c.TP + c.FP
-	if den == 0 {
-		return math.NaN()
-	}
-	return float64(c.TP) / float64(den)
-}
-
-// F1 is the harmonic mean of precision and sensitivity.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Sensitivity()
-	if math.IsNaN(p) || math.IsNaN(r) || p+r == 0 {
-		return math.NaN()
-	}
-	return 2 * p * r / (p + r)
 }
 
 // GeometricMean returns √(sensitivity·specificity), the paper's headline

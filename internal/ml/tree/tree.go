@@ -24,11 +24,6 @@ type Config struct {
 	Rng *rand.Rand
 }
 
-// DefaultConfig returns a conservative single-tree configuration.
-func DefaultConfig() Config {
-	return Config{MaxDepth: 12, MinLeaf: 2}
-}
-
 type node struct {
 	// Leaf payload.
 	leaf     bool
@@ -240,20 +235,4 @@ func (t *Tree) Prob(x []float64) float64 {
 		}
 	}
 	return n.prob
-}
-
-// Depth returns the maximum depth of the tree.
-func (t *Tree) Depth() int {
-	var walk func(n *node) int
-	walk = func(n *node) int {
-		if n.leaf {
-			return 0
-		}
-		l, r := walk(n.left), walk(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return walk(t.root)
 }

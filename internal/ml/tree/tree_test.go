@@ -31,9 +31,20 @@ func accuracy(t *Tree, X [][]float64, y []bool) float64 {
 	return float64(ok) / float64(len(X))
 }
 
+// testConfig is a conservative single-tree configuration.
+var testConfig = Config{MaxDepth: 12, MinLeaf: 2}
+
+// depth returns the maximum depth below n (a leaf is depth 0).
+func depth(n *node) int {
+	if n.leaf {
+		return 0
+	}
+	return 1 + max(depth(n.left), depth(n.right))
+}
+
 func TestTrainSeparable(t *testing.T) {
 	X, y := gaussianBlobs(400, 6, 1)
-	tr, err := Train(X, y, DefaultConfig())
+	tr, err := Train(X, y, testConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +67,7 @@ func TestGeneralization(t *testing.T) {
 func TestPureLeafShortCircuit(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}}
 	y := []bool{true, true, true}
-	tr, err := Train(X, y, DefaultConfig())
+	tr, err := Train(X, y, testConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +85,7 @@ func TestMaxDepthRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tr.Depth(); d > 3 {
+	if d := depth(tr.root); d > 3 {
 		t.Errorf("depth %d exceeds MaxDepth 3", d)
 	}
 }
@@ -95,7 +106,7 @@ func TestConstantFeatures(t *testing.T) {
 	// Unsplittable data must yield a majority-vote leaf, not loop.
 	X := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
 	y := []bool{true, true, false, true}
-	tr, err := Train(X, y, DefaultConfig())
+	tr, err := Train(X, y, testConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +116,16 @@ func TestConstantFeatures(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	if _, err := Train(nil, nil, DefaultConfig()); err == nil {
+	if _, err := Train(nil, nil, testConfig); err == nil {
 		t.Error("empty set should fail")
 	}
-	if _, err := Train([][]float64{{1}}, []bool{true, false}, DefaultConfig()); err == nil {
+	if _, err := Train([][]float64{{1}}, []bool{true, false}, testConfig); err == nil {
 		t.Error("label mismatch should fail")
 	}
-	if _, err := Train([][]float64{{}}, []bool{true}, DefaultConfig()); err == nil {
+	if _, err := Train([][]float64{{}}, []bool{true}, testConfig); err == nil {
 		t.Error("zero features should fail")
 	}
-	if _, err := Train([][]float64{{1}, {1, 2}}, []bool{true, false}, DefaultConfig()); err == nil {
+	if _, err := Train([][]float64{{1}, {1, 2}}, []bool{true, false}, testConfig); err == nil {
 		t.Error("ragged matrix should fail")
 	}
 	if _, err := Train([][]float64{{1}, {2}}, []bool{true, false},
@@ -155,7 +166,7 @@ func TestProbMonotonicWithClass(t *testing.T) {
 
 func TestNumFeatures(t *testing.T) {
 	X, y := gaussianBlobs(50, 3, 8)
-	tr, err := Train(X, y, DefaultConfig())
+	tr, err := Train(X, y, testConfig)
 	if err != nil {
 		t.Fatal(err)
 	}

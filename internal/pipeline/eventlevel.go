@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"selflearn/internal/chbmit"
+	"selflearn/internal/eval"
 	"selflearn/internal/rt"
+	"selflearn/internal/signal"
 )
 
 // EventLevelResult reports deployment-style metrics: per-seizure *event*
@@ -112,7 +114,7 @@ func EventLevelStudy(patients []chbmit.Patient, opts Options, trainEvents int, b
 				det.PushPrediction(pr)
 			}
 			t := crop.Seizures[0]
-			m := rt.ScoreEvents(det.Alarms(), [][2]float64{{t.Start, t.End}}, 10)
+			m := eval.ScoreDetections(alarmTimes(det), []signal.Interval{t}, 10, 0)
 			pl.Events++
 			if m.Detected == 1 {
 				pl.Detected++

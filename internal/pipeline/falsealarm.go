@@ -5,7 +5,9 @@ import (
 	"math/rand"
 
 	"selflearn/internal/chbmit"
+	"selflearn/internal/eval"
 	"selflearn/internal/rt"
+	"selflearn/internal/signal"
 	"selflearn/internal/synth"
 )
 
@@ -145,7 +147,7 @@ func FalseAlarmStudy(p chbmit.Patient, opts Options, backgroundSeconds float64, 
 			det.PushPrediction(pr)
 		}
 		t := crop.Seizures[0]
-		m := rt.ScoreEvents(det.Alarms(), [][2]float64{{t.Start, t.End}}, 10)
+		m := eval.ScoreDetections(alarmTimes(det), []signal.Interval{t}, 10, 0)
 		return m.Detected == 1, nil
 	}
 	if res.SeizureDetectedPlain, err = detects(plain); err != nil {
@@ -161,3 +163,13 @@ func FalseAlarmStudy(p chbmit.Patient, opts Options, backgroundSeconds float64, 
 type noopClf struct{}
 
 func (noopClf) Predict([]float64) bool { return false }
+
+// alarmTimes returns the stream times of det's alarms, in firing order.
+func alarmTimes(det *rt.Detector) []float64 {
+	alarms := det.Alarms()
+	ts := make([]float64, len(alarms))
+	for i, a := range alarms {
+		ts[i] = a.Time
+	}
+	return ts
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"selflearn/internal/chbmit"
+	"selflearn/internal/ml/metrics"
 )
 
 func TestValidateGenericSmall(t *testing.T) {
@@ -28,7 +29,7 @@ func TestValidateGenericSmall(t *testing.T) {
 		t.Fatalf("per-patient results = %d", len(res.PerPatient))
 	}
 	for _, pr := range res.PerPatient {
-		if pr.Personalized.Total() == 0 || pr.Generic.Total() == 0 {
+		if pr.Personalized == (metrics.Confusion{}) || pr.Generic == (metrics.Confusion{}) {
 			t.Fatalf("%s: empty confusion", pr.PatientID)
 		}
 	}

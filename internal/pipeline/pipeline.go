@@ -352,9 +352,6 @@ func NewSession(p chbmit.Patient, opts Options) (*Session, error) {
 	}, nil
 }
 
-// Trained reports whether the detector has been trained yet.
-func (s *Session) Trained() bool { return s.det != nil }
-
 // Detector returns the current trained detector (nil before the first
 // missed-seizure report).
 func (s *Session) Detector() *forest.Forest { return s.det }
@@ -484,17 +481,4 @@ func (s *Session) SaveDetector(w io.Writer) error {
 		return errors.New("pipeline: detector not trained yet")
 	}
 	return s.det.Save(w)
-}
-
-// LoadDetector restores a checkpointed detector into the session. The
-// accumulated training set is not part of the checkpoint; subsequent
-// missed-seizure reports extend from whatever data the session has
-// gathered since.
-func (s *Session) LoadDetector(r io.Reader) error {
-	f, err := forest.Load(r)
-	if err != nil {
-		return err
-	}
-	s.det = f
-	return nil
 }

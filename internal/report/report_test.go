@@ -26,8 +26,8 @@ func TestTableAlignment(t *testing.T) {
 	if len(lines[2]) != len(lines[3]) {
 		t.Errorf("aligned rows should have equal width: %q vs %q", lines[2], lines[3])
 	}
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Errorf("NumRows = %d", len(tb.rows))
 	}
 }
 

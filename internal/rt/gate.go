@@ -2,15 +2,14 @@ package rt
 
 import "fmt"
 
-// This file holds the amplitude gate of the two-stage scheme as a
-// free-standing, allocation-free component, so the exact same stage-1
-// decision procedure can run in three places: inside TwoStage (the
-// in-process duty-cycle reducer of the paper's reference [24]), "on
-// device" in a serving client that suppresses uplink traffic
-// (serve.PrefilterClient), and mirrored on the shard that audits the
-// client's suppression. Keeping one implementation is what makes the
-// audit meaningful — the shard re-evaluates the declared gate, not an
-// approximation of it.
+// This file holds the amplitude gate of the two-stage scheme (the
+// duty-cycle reducer of the paper's reference [24]) as a free-standing,
+// allocation-free component, so the exact same stage-1 decision
+// procedure runs in two places: "on device" in a serving client that
+// suppresses uplink traffic (serve.PrefilterClient), and mirrored on
+// the shard that audits the client's suppression. Keeping one
+// implementation is what makes the audit meaningful — the shard
+// re-evaluates the declared gate, not an approximation of it.
 
 // GateConfig is the serializable parameterization of the amplitude
 // gate — what a stream declares to its shard so the shard can mirror
@@ -118,25 +117,17 @@ func (m *medianRing) Median() float64 {
 	return m.sorted[lo]*0.5 + m.sorted[lo+1]*0.5
 }
 
-// Reset discards all samples without releasing storage.
-func (m *medianRing) Reset() {
-	m.sorted = m.sorted[:0]
-	m.pos, m.n = 0, 0
-}
-
 // AmplitudeGate is the stage-1 amplitude pre-screen as a standalone
 // decision procedure over per-window mean absolute amplitudes — the
-// one gating rule TwoStage, the prefilter client and the shard audit
-// all run: trigger (ship the window) while the baseline is cold or
-// when the amplitude reaches Factor times the running median of recent
+// one gating rule the prefilter client and the shard audit both run:
+// trigger (ship the window) while the baseline is cold or when the
+// amplitude reaches Factor times the running median of recent
 // non-triggering windows; only non-triggering windows feed the
 // baseline, so a long seizure does not drag the threshold up after
 // itself.
 type AmplitudeGate struct {
 	cfg     GateConfig
 	history *medianRing
-	windows uint64
-	shipped uint64
 }
 
 // NewAmplitudeGate builds a gate from cfg. All state is preallocated:
@@ -147,9 +138,6 @@ func NewAmplitudeGate(cfg GateConfig) (*AmplitudeGate, error) {
 	}
 	return &AmplitudeGate{cfg: cfg, history: newMedianRing(cfg.HistoryWindows)}, nil
 }
-
-// Config returns the gate's parameterization.
-func (g *AmplitudeGate) Config() GateConfig { return g.cfg }
 
 // Threshold returns the current trigger level (Factor × running median)
 // and whether the baseline is warm enough to gate at all. While cold,
@@ -163,12 +151,10 @@ func (g *AmplitudeGate) Threshold() (float64, bool) {
 }
 
 // Admit processes one window's mean absolute amplitude and reports
-// whether the window must ship upstream, or reach TwoStage's expensive
-// stage (trigger).
+// whether the window must ship upstream (trigger).
 //
 //selflearn:hotpath
 func (g *AmplitudeGate) Admit(amp float64) bool {
-	g.windows++
 	cold := g.history.Len() < g.cfg.HistoryWindows/2
 	trigger := true
 	if !cold {
@@ -177,23 +163,7 @@ func (g *AmplitudeGate) Admit(amp float64) bool {
 	if !trigger || cold {
 		g.history.Push(amp)
 	}
-	if trigger {
-		g.shipped++
-	}
 	return trigger
-}
-
-// Windows returns the number of windows seen and Shipped the number
-// that triggered — Shipped/Windows is the uplink duty cycle.
-func (g *AmplitudeGate) Windows() uint64 { return g.windows }
-
-// Shipped returns the number of windows that triggered.
-func (g *AmplitudeGate) Shipped() uint64 { return g.shipped }
-
-// Reset clears the adaptive state and counters.
-func (g *AmplitudeGate) Reset() {
-	g.history.Reset()
-	g.windows, g.shipped = 0, 0
 }
 
 // BatchAmplitude is the mean absolute amplitude over a two-channel

@@ -8,7 +8,7 @@ import (
 	"selflearn/internal/synth"
 )
 
-// refTwoStage is the pre-optimization TwoStage gating rule, kept
+// refTwoStage is the pre-optimization two-stage gating rule, kept
 // verbatim as the equivalence oracle: append-and-reslice history with a
 // copy-and-sort stats.Median per window. The incremental medianRing
 // must reproduce its trigger decisions bit for bit.
@@ -59,7 +59,7 @@ func TestMedianRingMatchesStatsMedian(t *testing.T) {
 	}
 }
 
-// TestTwoStageEquivalence: the allocation-free Classify must make the
+// TestTwoStageEquivalence: the allocation-free gate must make the
 // exact same trigger decisions as the historical copy-and-sort
 // implementation over realistic EEG with seizures.
 func TestTwoStageEquivalence(t *testing.T) {
@@ -73,7 +73,7 @@ func TestTwoStageEquivalence(t *testing.T) {
 	if err := synth.AddSeizure(rng, data, 600*int(fs), 25*int(fs), fs, synth.DefaultSeizure()); err != nil {
 		t.Fatal(err)
 	}
-	ts, err := NewTwoStage(alwaysTrue{}, 2.5, 120)
+	g, err := NewAmplitudeGate(GateConfig{Factor: 2.5, HistoryWindows: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestTwoStageEquivalence(t *testing.T) {
 	invoked := 0
 	for start := 0; start+win <= n; start += hop {
 		w := data[start : start+win]
-		_, ran := ts.Classify(w, nil)
+		ran := g.Admit(BatchAmplitude(w, nil))
 		wantRan := ref.classify(BatchAmplitude(w, nil))
 		if ran != wantRan {
 			t.Fatalf("window at %ds: optimized trigger %v, reference %v", start/int(fs), ran, wantRan)
@@ -97,8 +97,9 @@ func TestTwoStageEquivalence(t *testing.T) {
 }
 
 // TestAmplitudeGateMatchesTwoStage: the standalone gate must reproduce
-// TwoStage's trigger sequence exactly when fed the same amplitudes —
-// the property the shard-side audit mirror depends on.
+// the two-stage rule's trigger sequence exactly when fed the same
+// amplitudes — the property the shard-side audit mirror depends on —
+// while shipping well under half of the windows.
 func TestAmplitudeGateMatchesTwoStage(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	fs := 128.0
@@ -107,31 +108,34 @@ func TestAmplitudeGateMatchesTwoStage(t *testing.T) {
 	if err := synth.AddSeizure(rng, data, 200*int(fs), 30*int(fs), fs, synth.DefaultSeizure()); err != nil {
 		t.Fatal(err)
 	}
-	ts, err := NewTwoStage(alwaysTrue{}, 2.5, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := &refTwoStage{factor: 2.5, maxHist: 64}
 	g, err := NewAmplitudeGate(GateConfig{Factor: 2.5, HistoryWindows: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	win, hop := 4*int(fs), int(fs)
+	var windows, shipped int
 	for start := 0; start+win <= n; start += hop {
 		w := data[start : start+win]
-		_, ran := ts.Classify(w, nil)
-		if ship := g.Admit(BatchAmplitude(w, nil)); ship != ran {
-			t.Fatalf("window at %ds: gate %v, TwoStage %v", start/int(fs), ship, ran)
+		ran := ref.classify(BatchAmplitude(w, nil))
+		ship := g.Admit(BatchAmplitude(w, nil))
+		if ship != ran {
+			t.Fatalf("window at %ds: gate %v, reference %v", start/int(fs), ship, ran)
+		}
+		windows++
+		if ship {
+			shipped++
 		}
 	}
-	if g.Shipped() == g.Windows() {
+	if shipped == windows {
 		t.Fatal("gate never suppressed — test signal too hot")
 	}
-	if got := float64(g.Shipped()) / float64(g.Windows()); got > 0.4 {
+	if got := float64(shipped) / float64(windows); got > 0.4 {
 		t.Fatalf("uplink duty cycle %v, want well below 1", got)
 	}
 }
 
-// TestGateValidation pins the config contract shared with NewTwoStage.
+// TestGateValidation pins the GateConfig contract.
 func TestGateValidation(t *testing.T) {
 	if _, err := NewAmplitudeGate(GateConfig{Factor: 1, HistoryWindows: 64}); err == nil {
 		t.Error("factor <= 1 should fail")
@@ -141,11 +145,12 @@ func TestGateValidation(t *testing.T) {
 	}
 }
 
-// TestTwoStageClassifyZeroAlloc: the per-window path — pre-screen,
+// TestTwoStageClassifyZeroAlloc: the per-window path — amplitude,
 // baseline maintenance, and gate bookkeeping — must not allocate, or a
-// day of 1 Hz windows churns 86k garbage objects per patient.
+// day of 1 Hz windows churns 86k garbage objects per patient. It runs
+// the gate over 4 s analysis windows and over 1 s two-channel batches.
 func TestTwoStageClassifyZeroAlloc(t *testing.T) {
-	ts, err := NewTwoStage(alwaysTrue{}, 2.5, 120)
+	window, err := NewAmplitudeGate(GateConfig{Factor: 2.5, HistoryWindows: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +165,11 @@ func TestTwoStageClassifyZeroAlloc(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		s := starts[i%len(starts)]
-		ts.Classify(data[s:s+win], nil)
+		window.Admit(BatchAmplitude(data[s:s+win], nil))
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("TwoStage.Classify allocates %v objects per window, want 0", allocs)
+		t.Fatalf("AmplitudeGate.Admit allocates %v objects per analysis window, want 0", allocs)
 	}
 
 	g, err := NewAmplitudeGate(GateConfig{Factor: 2.5, HistoryWindows: 64})
@@ -179,5 +184,90 @@ func TestTwoStageClassifyZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("AmplitudeGate.Admit allocates %v objects per window, want 0", allocs)
+	}
+}
+
+func TestTwoStageGatesBackground(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	fs := 256.0
+	n := 600 * int(fs)
+	bg := synth.Background(rng, n, fs, synth.DefaultBackground())
+	g, err := NewAmplitudeGate(GateConfig{Factor: 2.5, HistoryWindows: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := 4 * int(fs)
+	hop := int(fs)
+	var windows, invoked int
+	for start := 0; start+win <= n; start += hop {
+		windows++
+		if g.Admit(BatchAmplitude(bg[start:start+win], nil)) {
+			invoked++
+		}
+	}
+	// After warm-up, seizure-free EEG should rarely trip the pre-screen.
+	if f := float64(invoked) / float64(windows); f > 0.25 {
+		t.Errorf("invocation fraction %g on pure background, want low", f)
+	}
+}
+
+func TestTwoStageTriggersOnSeizure(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	fs := 256.0
+	n := 600 * int(fs)
+	data := synth.Background(rng, n, fs, synth.DefaultBackground())
+	if err := synth.AddSeizure(rng, data, 300*int(fs), 60*int(fs), fs, synth.DefaultSeizure()); err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewAmplitudeGate(GateConfig{Factor: 2.5, HistoryWindows: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := 4 * int(fs)
+	hop := int(fs)
+	var windows, invoked, ictalInvoked, ictalTotal int
+	for start := 0; start+win <= n; start += hop {
+		sec := start / int(fs)
+		ran := g.Admit(BatchAmplitude(data[start:start+win], nil))
+		windows++
+		if ran {
+			invoked++
+		}
+		if sec >= 305 && sec < 350 {
+			ictalTotal++
+			if ran {
+				ictalInvoked++
+			}
+		}
+	}
+	if ictalTotal == 0 {
+		t.Fatal("no ictal windows")
+	}
+	// The expensive stage must see (nearly) every ictal window: energy
+	// savings must not cost sensitivity.
+	if float64(ictalInvoked)/float64(ictalTotal) < 0.95 {
+		t.Errorf("pre-screen suppressed %d/%d ictal windows", ictalTotal-ictalInvoked, ictalTotal)
+	}
+	// Overall duty shrinks substantially versus always-on.
+	if f := float64(invoked) / float64(windows); f > 0.4 {
+		t.Errorf("overall invocation fraction %g, want well below 1", f)
+	}
+}
+
+func TestTwoStageColdStartInvokes(t *testing.T) {
+	g, err := NewAmplitudeGate(GateConfig{Factor: 2.5, HistoryWindows: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]float64, 1024)
+	for i := range w {
+		w[i] = float64(i % 7)
+	}
+	// First windows (no baseline yet) must run stage 2 — cold-start
+	// safety.
+	for i := 0; i < 10; i++ {
+		if !g.Admit(BatchAmplitude(w, nil)) {
+			t.Fatal("cold-start window skipped the classifier")
+		}
 	}
 }

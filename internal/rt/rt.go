@@ -159,37 +159,3 @@ func Latency(alarms []Alarm, onset float64) float64 {
 	}
 	return -1
 }
-
-// EventMetrics summarises event-level detection over a recording: how
-// many annotated seizure events were caught (an alarm within the event
-// or within tolerance after onset), and how many alarms were false.
-type EventMetrics struct {
-	Events      int
-	Detected    int
-	FalseAlarms int
-}
-
-// ScoreEvents computes event-level metrics. events holds (start, end)
-// pairs in seconds; tolerance extends each event for alarm matching.
-func ScoreEvents(alarms []Alarm, events [][2]float64, tolerance float64) EventMetrics {
-	m := EventMetrics{Events: len(events)}
-	used := make([]bool, len(alarms))
-	for _, ev := range events {
-		for i, a := range alarms {
-			if used[i] {
-				continue
-			}
-			if a.Time >= ev[0]-tolerance && a.Time <= ev[1]+tolerance {
-				m.Detected++
-				used[i] = true
-				break
-			}
-		}
-	}
-	for i := range alarms {
-		if !used[i] {
-			m.FalseAlarms++
-		}
-	}
-	return m
-}

@@ -173,23 +173,3 @@ func TestLatency(t *testing.T) {
 		t.Errorf("no alarms should give -1")
 	}
 }
-
-func TestScoreEvents(t *testing.T) {
-	alarms := []Alarm{{Time: 105}, {Time: 400}, {Time: 700}}
-	events := [][2]float64{{100, 160}, {390, 450}, {900, 960}}
-	m := ScoreEvents(alarms, events, 0)
-	if m.Events != 3 || m.Detected != 2 || m.FalseAlarms != 1 {
-		t.Errorf("metrics = %+v", m)
-	}
-	// With tolerance the 700 s alarm still matches nothing; the missed
-	// event at 900 stays missed.
-	m = ScoreEvents(alarms, events, 100)
-	if m.Detected != 2 {
-		t.Errorf("tolerant detected = %d", m.Detected)
-	}
-	// One alarm cannot count for two events.
-	m = ScoreEvents([]Alarm{{Time: 100}}, [][2]float64{{90, 110}, {95, 120}}, 0)
-	if m.Detected != 1 {
-		t.Errorf("one alarm matched %d events", m.Detected)
-	}
-}

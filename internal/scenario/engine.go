@@ -38,7 +38,6 @@ type Collector struct {
 	versions map[string]uint64
 	total    uint64
 	rejects  uint64
-	drifts   uint64
 }
 
 // NewCollector returns an empty collector.
@@ -65,19 +64,7 @@ func (c *Collector) Observe(ev serve.Event) {
 		c.mu.Lock()
 		c.rejects++
 		c.mu.Unlock()
-	case serve.EventPrefilterDrift:
-		c.mu.Lock()
-		c.drifts++
-		c.mu.Unlock()
 	}
-}
-
-// DriftEvents returns the number of EventPrefilterDrift events observed
-// — the event-side cross-check of Stats.PrefilterDrift.
-func (c *Collector) DriftEvents() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.drifts
 }
 
 // AlarmTimes returns a copy of the patient's alarm stream times.
@@ -125,25 +112,16 @@ func (c *Collector) WaitVersion(patient string, v uint64, timeout time.Duration)
 }
 
 // admittedMask mirrors the serving path's quality gate client-side: one
-// bool per stream second, true when the batch would be admitted. The
-// mirror must agree with serve.WithQualityGate exactly — including
-// failing open on assessment errors — because ground truth is mapped
+// bool per stream second, true when the batch would be admitted. Both
+// decide with QualityConfig.Admits, so the mirror agrees with
+// serve.WithQualityGate exactly, as it must: ground truth is mapped
 // through it into admitted stream time.
 func admittedMask(ps PatientStream, fs float64, q *signal.QualityConfig) []bool {
 	n := len(ps.C0) / int(fs)
 	mask := make([]bool, n)
 	for i := range mask {
-		mask[i] = true
-		if q == nil {
-			continue
-		}
 		lo, hi := i*int(fs), (i+1)*int(fs)
-		for _, ch := range [][]float64{ps.C0[lo:hi], ps.C1[lo:hi]} {
-			if r, err := signal.AssessChannel(ch, fs, *q); err == nil && !r.OK {
-				mask[i] = false
-				break
-			}
-		}
+		mask[i] = q == nil || q.Admits(ps.C0[lo:hi], ps.C1[lo:hi], fs)
 	}
 	return mask
 }
@@ -579,23 +557,6 @@ func awaitDrain(b Backend, base serve.Stats, c *Collector, exact bool, expWindow
 	}
 }
 
-// RunLocal builds the workload and replays it against a fresh
-// in-process serve.Server configured from the spec — the path the
-// pinned scenario-matrix test and cmd/loadgen's local mode use.
-func RunLocal(spec Spec) (*Result, error) {
-	w, err := Build(spec)
-	if err != nil {
-		return nil, err
-	}
-	c := NewCollector()
-	srv, err := NewLocalServer(w, c)
-	if err != nil {
-		return nil, err
-	}
-	defer srv.Close()
-	return w.Run(srv, c)
-}
-
 // NewLocalServer builds a serve.Server sized and configured for the
 // workload, with the collector attached as a synchronous event sink
 // (no event can be dropped).
@@ -613,7 +574,7 @@ func NewLocalServer(w *Workload, c *Collector) (*serve.Server, error) {
 			Hop:          time.Second,
 		},
 	}
-	adm, err := serve.ParseAdmission(spec.Admission, 0)
+	adm, err := serve.ParseAdmission(spec.Admission)
 	if err != nil {
 		return nil, err
 	}

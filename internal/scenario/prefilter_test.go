@@ -97,7 +97,7 @@ func TestPrefilterWitness(t *testing.T) {
 	if onArm.res.AuditSamples == 0 {
 		t.Error("no audit samples crossed the wire")
 	}
-	if onArm.res.DriftEvents != 0 || onArm.col.DriftEvents() != 0 {
+	if onArm.res.DriftEvents != 0 {
 		t.Errorf("well-tuned gate fired drift: %+v", onArm.res)
 	}
 	if offArm.res.SuppressedWindows != 0 || offArm.res.AuditSamples != 0 {
@@ -174,7 +174,7 @@ func TestPrefilterWitness(t *testing.T) {
 		Seizures:   Seizures{Count: 1, First: 120, Duration: 20},
 		Prefilter:  &PrefilterSpec{Factor: 2.5, AuditEvery: 8, DriftThreshold: 2, MistuneFactor: 9},
 	}
-	negRes, err := RunLocal(neg)
+	negRes, err := runLocal(neg)
 	if err != nil {
 		t.Fatal(err)
 	}

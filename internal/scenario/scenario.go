@@ -6,10 +6,11 @@
 // engine that replays them through a serving backend and scores the
 // resulting alarms against ground truth with internal/eval.
 //
-// The same engine drives an in-process serve.Server (RunLocal, used by
-// the pinned scenario-matrix test) and a shardd fleet over
-// internal/cluster (cmd/loadgen -cluster). Every random choice derives
-// from Spec.Seed, so a scenario run twice produces identical eval rows.
+// The same engine drives an in-process serve.Server (NewLocalServer,
+// cmd/loadgen's default and the pinned scenario-matrix test) and a
+// shardd fleet over internal/cluster (cmd/loadgen -cluster). Every
+// random choice derives from Spec.Seed, so a scenario run twice
+// produces identical eval rows.
 package scenario
 
 import (
@@ -246,7 +247,7 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario: unknown source kind %q", s.Source.Kind)
 	}
-	if _, err := serve.ParseAdmission(s.Admission, 0); err != nil {
+	if _, err := serve.ParseAdmission(s.Admission); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
 	if s.Seizures.Count > 0 && s.Source.Kind == "synth" {

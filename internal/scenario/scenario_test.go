@@ -9,6 +9,22 @@ import (
 	"selflearn/internal/signal"
 )
 
+// runLocal builds the workload and replays it against a fresh
+// in-process serve.Server configured from the spec.
+func runLocal(spec Spec) (*Result, error) {
+	w, err := Build(spec)
+	if err != nil {
+		return nil, err
+	}
+	c := NewCollector()
+	srv, err := NewLocalServer(w, c)
+	if err != nil {
+		return nil, err
+	}
+	defer srv.Close()
+	return w.Run(srv, c)
+}
+
 // TestScenarioMatrix replays every pinned scenario twice and demands
 // bit-identical eval rows — the determinism contract cmd/loadgen and
 // the docs advertise — then cross-checks the rows against each other:
@@ -23,11 +39,11 @@ func TestScenarioMatrix(t *testing.T) {
 	for _, spec := range Matrix() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			r1, err := RunLocal(spec)
+			r1, err := runLocal(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := RunLocal(spec)
+			r2, err := runLocal(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +232,7 @@ func TestSpecFaultsSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fault.FormatSchedule(ws1) != fault.FormatSchedule(ws2) {
+	if !reflect.DeepEqual(ws1, ws2) {
 		t.Fatal("fault schedule changed across the spec round trip")
 	}
 

@@ -28,14 +28,14 @@ type AdmissionPolicy interface {
 }
 
 // ParseAdmission returns the policy a configuration names: "drop"
-// (DropOnFull), "block" (BlockWithDeadline(blockDeadline)) or "shed"
-// (ShedOldest).
-func ParseAdmission(name string, blockDeadline time.Duration) (AdmissionPolicy, error) {
+// (DropOnFull), "block" (BlockWithDeadline(0), which waits for queue
+// space indefinitely) or "shed" (ShedOldest).
+func ParseAdmission(name string) (AdmissionPolicy, error) {
 	switch name {
 	case "drop":
 		return DropOnFull(), nil
 	case "block":
-		return BlockWithDeadline(blockDeadline), nil
+		return BlockWithDeadline(0), nil
 	case "shed":
 		return ShedOldest(), nil
 	}

@@ -97,13 +97,13 @@ func benchServe(b *testing.B, workers, patients int) {
 }
 
 // BenchmarkPipeline measures the full samples-in → alarm-out window
-// pipeline on one session with no queue hops: Streamer.Push through
-// the feature workspace, history ring copy, FlatForest classification,
-// and alarm smoothing. One iteration is one one-second batch, i.e. one
-// classified window in steady state, so windows/s here is the
-// single-core ceiling the sharded server fans out. allocs/op is the
-// pipeline's allocation budget and must stay 0 (enforced by
-// TestSessionBatchPathZeroAlloc).
+// pipeline on one session with no queue hops, as one-job worker drains:
+// Streamer.Push through the feature workspace, history ring copy,
+// FlatForest classification, and alarm smoothing. One iteration is one
+// one-second batch, i.e. one classified window in steady state, so
+// windows/s here is the single-core ceiling the sharded server fans
+// out. allocs/op is the pipeline's allocation budget and must stay 0
+// (enforced by TestSessionBatchPathZeroAlloc).
 func BenchmarkPipeline(b *testing.B) {
 	model := trainOnRecording(b)
 	// The float ablation trains an identical forest (same seeds) and
@@ -116,20 +116,22 @@ func BenchmarkPipeline(b *testing.B) {
 		model *forest.FlatForest
 	}{{"untrained", nil}, {"trained", model}, {"trained-float", floatModel}} {
 		b.Run(tc.name, func(b *testing.B) {
-			sess, _ := benchSession(b, 3600)
+			w, _ := drainWorker(b)
+			const historyRows = 3600
+			sess, err := w.session(tc.name, historyRows)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if tc.model != nil {
 				sess.model.Store(tc.model)
 			}
 			rec := testRecording(b, 21, 60, -1, 0)
 			c0, c1 := rec.Data[0], rec.Data[1]
 			batch := int(testRate)
+			d := &drain{}
 			pos := 0
 			push := func() {
-				rows, err := sess.ingest(c0[pos:pos+batch], c1[pos:pos+batch])
-				if err != nil {
-					b.Fatal(err)
-				}
-				sess.classify(rows)
+				drainOne(w, d, Job{Patient: tc.name, C0: c0[pos : pos+batch], C1: c1[pos : pos+batch]}, historyRows)
 				pos += batch
 				if pos+batch > len(c0) {
 					pos = 8 * batch

@@ -211,7 +211,7 @@ func (w *worker) admit(d *drain, j Job, historyRows int) {
 	// The samples never reach the feature streamer — the window
 	// stream skips the unusable second.
 	if !j.Confirm && w.srv.quality != nil &&
-		!qualityOK(w.srv.quality, j.C0, j.C1, w.srv.cfg.SampleRate) {
+		!w.srv.quality.Admits(j.C0, j.C1, w.srv.cfg.SampleRate) {
 		w.srv.qualityRejected.Add(1)
 		if j.Stream != nil {
 			j.Stream.rejected.Add(1)

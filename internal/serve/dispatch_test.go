@@ -12,7 +12,7 @@ import (
 // drive the admit → score → settle drain phases synchronously. The
 // alarm config is strict enough that background EEG never fires, as in
 // benchSession.
-func drainWorker(t *testing.T) (*worker, *Server) {
+func drainWorker(t testing.TB) (*worker, *Server) {
 	t.Helper()
 	srv, err := New(Config{
 		Workers:    1,
@@ -36,6 +36,15 @@ func drainWorker(t *testing.T) (*worker, *Server) {
 		ws:       testWorkspace(t, srv.cfg),
 	}
 	return w, srv
+}
+
+// drainOne runs j through a one-job drain: the path a worker runs for
+// a job that arrives alone, and for every job at Coalesce 1.
+func drainOne(w *worker, d *drain, j Job, historyRows int) {
+	d.reset()
+	w.admit(d, j, historyRows)
+	w.score(d)
+	w.settle(d)
 }
 
 // TestDrainZeroAlloc pins the coalescing drain at zero allocations per
@@ -102,9 +111,9 @@ func TestDrainGroupsByModel(t *testing.T) {
 	c0, c1 := rec.Data[0], rec.Data[1]
 	batch := int(testRate)
 
-	// Reference: an identical session classifying alone.
+	// Reference: the float forest's batch decisions over the rows an
+	// identical session extracts alone.
 	ref, _ := benchSession(t, historyRows)
-	ref.model.Store(model)
 
 	patients := []string{"p0", "p1", "p2"}
 	for _, p := range patients {
@@ -120,8 +129,7 @@ func TestDrainGroupsByModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make([]bool, len(refRows))
-		ref.predictInto(want, refRows)
+		want := model.PredictBatchInto(make([]bool, len(refRows)), refRows)
 		d.reset()
 		for _, p := range patients {
 			w.admit(d, Job{Patient: p, C0: c0[pos : pos+batch], C1: c1[pos : pos+batch]}, historyRows)

@@ -89,8 +89,8 @@ func (l *learner) retrain(j retrainJob) error {
 	if err != nil {
 		return err
 	}
-	// Flatten once at train time: everything downstream — the live
-	// session's classify path, the model cache, and checkpoints — works
+	// Flatten once at train time: everything downstream — the worker's
+	// classify path, the model cache, and checkpoints — works
 	// on the inference-optimized representation. Flatten also builds the
 	// int16-quantized companion; verify it reproduces the float vote
 	// count on every training row and drop it on any disagreement, so a

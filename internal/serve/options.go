@@ -25,9 +25,8 @@ func defaultServerOptions() serverOptions {
 // WithModelStore installs the persistence layer behind the model cache.
 // Without one, trained models live only in the bounded LRU
 // (Config.ModelCacheSize caps model memory; eviction loses the model).
-// NewMemoryStore keeps every trained patient's model for the life of
-// the process — note that is unbounded across patient churn — and
-// NewFileStore survives restarts.
+// NewFileStore keeps every trained patient's model on disk, across
+// evictions and restarts.
 func WithModelStore(st ModelStore) Option {
 	return func(o *serverOptions) {
 		if st != nil {

@@ -9,11 +9,10 @@ import (
 )
 
 // This file is the edge/cloud two-stage split: a client-side stage-1
-// amplitude gate (rt.AmplitudeGate — the exact gate TwoStage runs
-// in-process) suppresses uplink traffic during the overwhelmingly
-// seizure-free hours, shipping compact digests instead of full-rate
-// samples, while the shard audits the suppression so sensitivity never
-// silently degrades. Two halves live here:
+// amplitude gate (rt.AmplitudeGate) suppresses uplink traffic during
+// the overwhelmingly seizure-free hours, shipping compact digests
+// instead of full-rate samples, while the shard audits the suppression
+// so sensitivity never silently degrades. Two halves live here:
 //
 //   - PrefilterClient runs "on device": per one-second batch it decides
 //     ship / suppress, folds suppressed seconds into a pending Digest,

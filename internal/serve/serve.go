@@ -409,12 +409,6 @@ func (s *Server) Events() <-chan Event {
 	return s.hub.events()
 }
 
-// Model returns the patient's current trained detector from the model
-// cache (reading through to the store), or nil while untrained.
-func (s *Server) Model(patientID string) *forest.FlatForest {
-	return s.cache.Get(patientID)
-}
-
 // ModelVersioned returns the patient's current trained detector and
 // its monotonic model version from the model cache (reading through to
 // the store), or (nil, 0) while untrained. A checkpoint predating

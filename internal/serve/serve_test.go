@@ -113,7 +113,7 @@ func TestSessionLifecycleAndSelfLearning(t *testing.T) {
 	if st := awaitRetrains(t, srv, 1); st.Retrains != 1 {
 		t.Fatalf("retrain failed: %+v", st)
 	}
-	if srv.Model(patient) == nil {
+	if m, _ := srv.ModelVersioned(patient); m == nil {
 		t.Fatal("no model cached after retrain")
 	}
 

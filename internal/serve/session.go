@@ -20,10 +20,11 @@ import (
 // atomic pointer because the background learner installs retrained
 // forests into live sessions.
 //
-// The steady-state batch path (ingest → classify) allocates nothing:
-// the workspace reuses its emission buffer, emitted rows are copied
-// into the preallocated history ring, and classification runs the flat
-// forest into a reused prediction buffer.
+// The steady-state batch path (ingest, then the worker's drain scores
+// the rows and pushAlarms smooths them) allocates nothing: the
+// workspace reuses its emission buffer, emitted rows are copied into
+// the preallocated history ring, and the drain classifies into its own
+// reused arenas.
 type session struct {
 	id       string
 	streamer *features.Streamer
@@ -42,13 +43,10 @@ type session struct {
 	histLen  int // slots filled so far (caps at histRows)
 
 	// rowsScratch collects the slot views of the rows a batch completed;
-	// predScratch is the matching classification buffer; alarmScratch
-	// collects the stream times of alarms a batch fired. All are reused
-	// across batches.
+	// alarmScratch collects the stream times of alarms a batch fired.
+	// Both are reused across batches.
 	rowsScratch  [][]float64
-	predScratch  []bool
 	alarmScratch []float64
-	codeScratch  []int16 // quantized row codes arena (quant classify path)
 
 	// audit is the shard half of a declared client-side prefilter
 	// (nil until a Declare job arrives). Worker-confined like the
@@ -173,61 +171,6 @@ func (s *session) historySnapshot() [][]float64 {
 		out = append(out, append([]float64(nil), s.slot((start+i)%s.histRows)...))
 	}
 	return out
-}
-
-// classify scores the batch's feature rows with the current model (all
-// negative while untrained) and feeds them through the alarm layer,
-// returning the stream times of the alarms that fired. The returned
-// slice is the session's reusable scratch, valid until the next
-// classify call; the common (alarm-free) path stays allocation-free.
-//
-//selflearn:hotpath
-func (s *session) classify(rows [][]float64) []float64 {
-	if len(rows) == 0 {
-		fired := s.alarmScratch[:0]
-		s.alarmScratch = fired
-		return fired
-	}
-	if cap(s.predScratch) < len(rows) {
-		s.predScratch = make([]bool, len(rows))
-	}
-	preds := s.predScratch[:len(rows)]
-	s.predictInto(preds, rows)
-	return s.pushAlarms(preds)
-}
-
-// predictInto scores rows with the current model into preds (all
-// negative while untrained), preferring the int16-quantized walk when
-// the model carries one. The two halves of classify are split so the
-// coalescing drain (dispatch.go) can score many sessions' rows in one
-// arena pass and still feed each session's alarm layer separately.
-//
-//selflearn:hotpath
-func (s *session) predictInto(preds []bool, rows [][]float64) {
-	f := s.model.Load()
-	if f == nil {
-		for i := range preds {
-			preds[i] = false
-		}
-		return
-	}
-	if qf := f.Quant(); qf != nil {
-		// Quantize once per row into the reusable arena, then walk the
-		// half-width int16 node tables. Decisions are exactly the float
-		// forest's (rank codes are order-exact; the learner verified
-		// parity before publishing).
-		nf := qf.NumFeatures()
-		if cap(s.codeScratch) < len(rows)*nf {
-			s.codeScratch = make([]int16, len(rows)*nf)
-		}
-		codes := s.codeScratch[:len(rows)*nf]
-		for i, row := range rows {
-			qf.QuantizeRowInto(codes[i*nf:(i+1)*nf], row)
-		}
-		qf.PredictBatchInto(preds, codes, len(rows))
-	} else {
-		f.PredictBatchInto(preds, rows)
-	}
 }
 
 // pushAlarms feeds a batch of window predictions through the alarm

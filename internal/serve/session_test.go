@@ -75,23 +75,26 @@ func trainOnRecording(tb testing.TB) *forest.FlatForest {
 }
 
 // TestSessionBatchPathZeroAlloc is the end-to-end allocation guard for
-// the serving hot path: one-second sample batches through
-// Streamer.Push → history ring → FlatForest classification → alarm
-// smoothing, with zero allocations per batch in steady state.
+// the serving hot path as a worker runs it for a lone job: one-second
+// sample batches through a one-job drain — admit (Streamer.Push →
+// history ring), score (QuantForest classification) and settle (alarm
+// smoothing) — with zero allocations per batch in steady state.
 func TestSessionBatchPathZeroAlloc(t *testing.T) {
-	sess, _ := benchSession(t, 256)
+	w, srv := drainWorker(t)
+	const historyRows = 256
+	sess, err := w.session("alloc-guard", historyRows)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sess.model.Store(trainOnRecording(t))
 	rec := testRecording(t, 9, 60, -1, 0)
 	c0, c1 := rec.Data[0], rec.Data[1]
 	batch := int(testRate)
+	d := &drain{}
 	// Warm-up: size every buffer (first windows, scratch, prediction).
 	pos := 0
 	push := func() {
-		rows, err := sess.ingest(c0[pos:pos+batch], c1[pos:pos+batch])
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess.classify(rows)
+		drainOne(w, d, Job{Patient: "alloc-guard", C0: c0[pos : pos+batch], C1: c1[pos : pos+batch]}, historyRows)
 		pos += batch
 		if pos+batch > len(c0) {
 			pos = 8 * batch
@@ -101,7 +104,10 @@ func TestSessionBatchPathZeroAlloc(t *testing.T) {
 		push()
 	}
 	if allocs := testing.AllocsPerRun(30, push); allocs != 0 {
-		t.Fatalf("ingest+classify allocates %.1f objects per one-second batch, want 0", allocs)
+		t.Fatalf("one-job drain allocates %.1f objects per one-second batch, want 0", allocs)
+	}
+	if st := srv.Snapshot(); st.StreamErrors != 0 || st.Windows == 0 {
+		t.Fatalf("drains classified %d windows with %d stream errors", st.Windows, st.StreamErrors)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"selflearn/internal/ml/forest"
 )
@@ -36,58 +35,11 @@ type ModelStore interface {
 	SaveVersion(patientID string, f *forest.FlatForest, version uint64) error
 }
 
-// memEntry is one MemoryStore checkpoint: the detector plus its version.
-type memEntry struct {
-	f       *forest.FlatForest
-	version uint64
-}
-
-// MemoryStore keeps checkpoints in an in-process map: models evicted
-// from the bounded LRU cache remain reloadable for the life of the
-// process, but do not survive a restart. The map never evicts — across
-// unbounded patient churn, prefer a FileStore or no store at all
-// (Config.ModelCacheSize then caps model memory).
-type MemoryStore struct {
-	mu sync.RWMutex
-	m  map[string]memEntry
-}
-
-// NewMemoryStore returns an empty in-memory model store.
-func NewMemoryStore() *MemoryStore {
-	return &MemoryStore{m: make(map[string]memEntry)}
-}
-
-// LoadVersion implements ModelStore.
-func (s *MemoryStore) LoadVersion(patientID string) (*forest.FlatForest, uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e := s.m[patientID]
-	return e.f, e.version, nil
-}
-
-// SaveVersion implements ModelStore.
-func (s *MemoryStore) SaveVersion(patientID string, f *forest.FlatForest, version uint64) error {
-	if f == nil {
-		return fmt.Errorf("serve: nil model for %q", patientID)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[patientID] = memEntry{f: f, version: version}
-	return nil
-}
-
-// Len returns the number of stored checkpoints.
-func (s *MemoryStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
 // FileStore persists one JSON forest checkpoint per patient under a
 // directory, using the ml/forest serialization format shared with
-// cmd/deploy (FlatForest.Save writes it and forest.LoadFlat reads it,
-// so checkpoints interoperate with pointer-forest tools in both
-// directions). A server restarted against the same directory serves
+// cmd/deploy (FlatForest.MarshalJSON writes it and forest.LoadFlat
+// reads it, so checkpoints interoperate with pointer-forest tools in
+// both directions). A server restarted against the same directory serves
 // previously-trained patients warm. Writes are atomic (temp file +
 // rename), so a crash mid-checkpoint leaves the previous one intact.
 //
@@ -107,9 +59,6 @@ func NewFileStore(dir string) (*FileStore, error) {
 	}
 	return &FileStore{dir: dir}, nil
 }
-
-// Dir returns the checkpoint directory.
-func (s *FileStore) Dir() string { return s.dir }
 
 // path maps a patient ID to its checkpoint file; IDs are URL-escaped so
 // arbitrary strings ("ward-3/bed 12") stay within one flat directory.

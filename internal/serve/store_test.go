@@ -49,7 +49,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if err := fs.SaveVersion(id, tinyForest(t, 2), 0); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(fs.Dir())
+	entries, err := os.ReadDir(fs.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFileStoreCorruptCheckpointRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(fs.Dir(), "p.forest.json")
+			path := filepath.Join(fs.dir, "p.forest.json")
 			if err := os.WriteFile(path, tc.bytes, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestFileStoreCorruptCheckpointRecovery(t *testing.T) {
 				}
 			}
 			// Atomic writes leave no temp droppings behind.
-			entries, err := os.ReadDir(fs.Dir())
+			entries, err := os.ReadDir(fs.dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,7 +269,6 @@ func TestStoreVersionRoundTrip(t *testing.T) {
 			t.Fatalf("LoadVersion of unversioned save = %v, %d, %v; want model, 0, nil", got, v, err)
 		}
 	}
-	t.Run("memory", func(t *testing.T) { check(t, NewMemoryStore()) })
 	t.Run("file", func(t *testing.T) {
 		fs, err := NewFileStore(t.TempDir())
 		if err != nil {
@@ -441,19 +440,24 @@ func TestServerServesPatientDespiteCorruptCheckpoint(t *testing.T) {
 	}
 }
 
-func TestMemoryStoreBehindCacheSurvivesEviction(t *testing.T) {
-	mc := newModelCache(1, NewMemoryStore(), func(err error) { t.Fatalf("store error: %v", err) })
+func TestStoreBehindCacheSurvivesEviction(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := newModelCache(1, fs, func(err error) { t.Fatalf("store error: %v", err) })
 	f1, f2 := tinyForest(t, 1), tinyForest(t, 2)
-	mc.Publish("p1", f1)
+	v1 := mc.Publish("p1", f1)
 	mc.Publish("p2", f2) // evicts p1 from the one-slot LRU
 	if mc.cached("p1") != nil {
 		t.Fatal("p1 still in LRU after eviction")
 	}
 	// Read-through brings the evicted model back from the store.
-	if got := mc.Get("p1"); got != f1 {
-		t.Fatalf("Get(p1) = %v, want the stored model", got)
+	got, v := mc.GetVersioned("p1")
+	if got == nil || v != v1 {
+		t.Fatalf("GetVersioned(p1) = %v, v%d; want the stored model, v%d", got, v, v1)
 	}
-	if mc.cached("p1") != f1 {
+	if mc.cached("p1") != got {
 		t.Fatal("read-through did not repopulate the LRU")
 	}
 }
@@ -508,7 +512,7 @@ func TestServerRestartWarmFromFileStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	if srv2.Model(patient) == nil {
+	if m, _ := srv2.ModelVersioned(patient); m == nil {
 		t.Fatal("restarted server has no model for the trained patient")
 	}
 	h2 := open(t, srv2, patient)

@@ -171,9 +171,6 @@ func (s *Server) Open(patientID string) (*Stream, error) {
 	return s.in.Open(patientID, s.transport.shard(patientID))
 }
 
-// Patient returns the stream's patient ID.
-func (st *Stream) Patient() string { return st.patient }
-
 // NoteShed records one of the stream's accepted batches discarded on
 // the shard side of a transport: shed by ShedOldest admission, or lost
 // in transit by a cluster connection that died.

@@ -91,9 +91,6 @@ func (q *Queue) TryRecv() (Job, bool) {
 // Depth returns the number of queued jobs; Cap the queue's bound.
 func (q *Queue) Depth() int { return len(q.jobs) }
 
-// Cap returns the queue's capacity.
-func (q *Queue) Cap() int { return cap(q.jobs) }
-
 // Close closes the consumer channel. No Offer may be in flight or
 // follow — owners serialize Close against producers (Server closes its
 // Intake first).

@@ -51,6 +51,21 @@ type QualityReport struct {
 	OK bool
 }
 
+// Admits reports whether a synchronized two-channel batch at rate fs
+// passes the quality gate: it is refused only when a channel is
+// assessed and fails the thresholds. An unassessable channel (empty,
+// bad rate) is not evidence of garbage: the gate fails open so a gate
+// bug never silences a patient. The serving path's quality gate and
+// the scenario engine's mirror of it both decide here.
+func (c QualityConfig) Admits(c0, c1 []float64, fs float64) bool {
+	for _, ch := range [][]float64{c0, c1} {
+		if r, err := AssessChannel(ch, fs, c); err == nil && !r.OK {
+			return false
+		}
+	}
+	return true
+}
+
 // AssessChannel computes a quality report for one channel at rate fs.
 func AssessChannel(xs []float64, fs float64, cfg QualityConfig) (QualityReport, error) {
 	if err := cfg.Validate(); err != nil {

@@ -32,6 +32,22 @@ func TestAssessChannelGoodSignal(t *testing.T) {
 	}
 }
 
+// TestQualityAdmits pins the two-channel gate rule: a batch is refused
+// when either channel fails, and an unassessable channel fails open.
+func TestQualityAdmits(t *testing.T) {
+	q := DefaultQuality()
+	good, flat := noisy(256, 15, 1), make([]float64, 256)
+	if !q.Admits(good, good, 256) {
+		t.Error("healthy batch refused")
+	}
+	if q.Admits(good, flat, 256) || q.Admits(flat, good, 256) {
+		t.Error("batch with a flatlined channel admitted")
+	}
+	if !q.Admits(nil, good, 256) || !q.Admits(flat, flat, 0) {
+		t.Error("unassessable batch refused; the gate must fail open")
+	}
+}
+
 func TestAssessChannelFlatline(t *testing.T) {
 	xs := noisy(60*256, 15, 2)
 	// Electrode falls off for 20 of 60 seconds.

@@ -5,13 +5,9 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
-
-// ErrEmpty is returned by functions that cannot operate on empty input.
-var ErrEmpty = errors.New("stats: empty input")
 
 // Sum returns the sum of xs. Sum of an empty slice is 0.
 func Sum(xs []float64) float64 {
@@ -43,21 +39,6 @@ func Variance(xs []float64) float64 {
 		ss += d * d
 	}
 	return ss / float64(len(xs))
-}
-
-// SampleVariance returns the unbiased sample variance (dividing by n-1).
-// It returns NaN for inputs with fewer than two elements.
-func SampleVariance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
 }
 
 // StdDev returns the population standard deviation of xs.
@@ -208,28 +189,10 @@ func GeometricMean(xs []float64) float64 {
 	return math.Exp(logSum / float64(len(xs)))
 }
 
-// ZScore returns (xs - mean)/std computed in place on a copy. When the
-// standard deviation is zero the centered values are returned undivided, so
-// constant features normalize to all-zero rather than NaN (Algorithm 1,
-// Line 1 relies on this).
-func ZScore(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	m := Mean(xs)
-	sd := StdDev(xs)
-	for i, x := range xs {
-		if sd == 0 {
-			out[i] = x - m
-		} else {
-			out[i] = (x - m) / sd
-		}
-	}
-	return out
-}
-
-// ZScoreInPlace normalizes xs in place with the same convention as ZScore.
+// ZScoreInPlace replaces xs with (xs - mean)/std. When the standard
+// deviation is zero the centered values are left undivided, so constant
+// features normalize to all-zero rather than NaN (Algorithm 1, Line 1
+// relies on this).
 func ZScoreInPlace(xs []float64) {
 	if len(xs) == 0 {
 		return
@@ -266,20 +229,10 @@ func Correlation(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// Histogram counts xs into nbins equal-width bins spanning [min, max].
-// Values equal to max land in the last bin. It returns nil when xs is
-// empty or nbins <= 0. A degenerate range (min == max) puts everything in
-// bin 0.
-func Histogram(xs []float64, nbins int) []int {
-	if len(xs) == 0 || nbins <= 0 {
-		return nil
-	}
-	return HistogramInto(make([]int, nbins), xs)
-}
-
-// HistogramInto counts xs into the caller-provided bins, zeroing them
-// first — the allocation-free form of Histogram with nbins = len(dst).
-// It returns dst (nil in the cases Histogram returns nil).
+// HistogramInto counts xs into len(dst) equal-width bins spanning
+// [min, max], zeroing them first, and returns dst. Values equal to max
+// land in the last bin. A degenerate range (min == max) puts everything
+// in bin 0. It returns nil when xs or dst is empty.
 //
 //selflearn:hotpath
 func HistogramInto(dst []int, xs []float64) []int {
@@ -308,23 +261,4 @@ func HistogramInto(dst []int, xs []float64) []int {
 		counts[b]++
 	}
 	return counts
-}
-
-// Probabilities converts histogram counts to a probability distribution,
-// dropping empty bins. It returns nil for empty or all-zero input.
-func Probabilities(counts []int) []float64 {
-	var total int
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return nil
-	}
-	var ps []float64
-	for _, c := range counts {
-		if c > 0 {
-			ps = append(ps, float64(c)/float64(total))
-		}
-	}
-	return ps
 }

@@ -69,11 +69,6 @@ type DropoutConfig struct {
 	Level float64
 }
 
-// DefaultDropout returns a ten-second disconnect resting at zero.
-func DefaultDropout() DropoutConfig {
-	return DropoutConfig{Duration: 10, Level: 0}
-}
-
 // AddDropout replaces the sample range [start, start+Duration·fs) with
 // the flat disconnect level. Unlike the additive artifacts it overwrites
 // the signal: a disconnected electrode records nothing, which is exactly

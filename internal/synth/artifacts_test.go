@@ -165,7 +165,7 @@ func renderContaminated(t *testing.T, seed int64) []float64 {
 	if err := AddArtifact(rng, data, 20*int(fs), fs, ArtifactConfig{Amp: 800, Duration: 5, HighFreq: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := AddDropout(data, 40*int(fs), fs, DefaultDropout()); err != nil {
+	if err := AddDropout(data, 40*int(fs), fs, DropoutConfig{Duration: 10, Level: 0}); err != nil {
 		t.Fatal(err)
 	}
 	return data

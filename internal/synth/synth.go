@@ -64,11 +64,6 @@ type ArtifactConfig struct {
 	HighFreq bool
 }
 
-// DefaultArtifact returns a large electrode-movement burst.
-func DefaultArtifact() ArtifactConfig {
-	return ArtifactConfig{Amp: 400, Duration: 18, HighFreq: false}
-}
-
 // pinkNoise is Paul Kellet's economy 1/f filter driven by Gaussian white
 // noise.
 type pinkNoise struct {

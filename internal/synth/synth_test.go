@@ -104,11 +104,11 @@ func TestSeizureReducesComplexity(t *testing.T) {
 	if err := AddSeizure(rng, ictal, 30*int(fs), 60*int(fs), fs, DefaultSeizure()); err != nil {
 		t.Fatal(err)
 	}
-	peIctal, err := entropy.Permutation(ictal[40*int(fs):70*int(fs)], 5)
+	peIctal, err := new(entropy.Workspace).Permutation(ictal[40*int(fs):70*int(fs)], 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	peBg, err := entropy.Permutation(bg[40*int(fs):70*int(fs)], 5)
+	peBg, err := new(entropy.Workspace).Permutation(bg[40*int(fs):70*int(fs)], 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,14 @@ func TestAddSeizureBounds(t *testing.T) {
 	}
 }
 
+// movementArtifact is a large electrode-movement burst.
+var movementArtifact = ArtifactConfig{Amp: 400, Duration: 18, HighFreq: false}
+
 func TestAddArtifactAmplitude(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	fs := 256.0
 	data := make([]float64, 60*int(fs))
-	cfg := DefaultArtifact()
+	cfg := movementArtifact
 	if err := AddArtifact(rng, data, 10*int(fs), fs, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +177,7 @@ func TestAddArtifactBounds(t *testing.T) {
 	if err := AddArtifact(rng, data, 0, 256, ArtifactConfig{Amp: 1, Duration: 10}); err == nil {
 		t.Error("burst longer than data should fail")
 	}
-	if err := AddArtifact(rng, data, -5, 256, DefaultArtifact()); err == nil {
+	if err := AddArtifact(rng, data, -5, 256, movementArtifact); err == nil {
 		t.Error("negative start should fail")
 	}
 }
@@ -190,7 +193,7 @@ func TestGenerateRecord(t *testing.T) {
 			{Start: 100, Duration: 50, Config: DefaultSeizure()},
 		},
 		Artifacts: []ArtifactEvent{
-			{Start: 200, Config: DefaultArtifact()},
+			{Start: 200, Config: movementArtifact},
 		},
 	})
 	if err != nil {

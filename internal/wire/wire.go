@@ -52,7 +52,7 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
 type Kind uint8
 
 const (
-	kindInvalid Kind = iota
+	_ Kind = iota // 0 is no kind: a zeroed frame header never decodes
 	// KindHello opens a connection in both directions: payload is the
 	// protocol Version.
 	KindHello
