@@ -39,7 +39,8 @@ type Forest struct {
 	oob   float64
 }
 
-// Train fits a random forest on X and binary labels y.
+// Train fits a random forest on X and binary labels y. A NaN feature
+// is an error naming its row and column.
 func Train(X [][]float64, y []bool, cfg Config) (*Forest, error) {
 	if len(X) == 0 {
 		return nil, errors.New("forest: empty training set")
@@ -49,6 +50,11 @@ func Train(X [][]float64, y []bool, cfg Config) (*Forest, error) {
 	}
 	if cfg.NumTrees < 1 {
 		return nil, fmt.Errorf("forest: invalid ensemble size %d", cfg.NumTrees)
+	}
+	// Sort every feature once; each tree grows from this presort.
+	p, err := tree.NewPresort(X, y)
+	if err != nil {
+		return nil, err
 	}
 	nf := len(X[0])
 	sub := cfg.FeatureSubset
@@ -63,18 +69,14 @@ func Train(X [][]float64, y []bool, cfg Config) (*Forest, error) {
 	// Out-of-bag vote tally per sample.
 	oobVotes := make([]int, len(X))
 	oobCount := make([]int, len(X))
+	mult := make([]int, len(X))
 	for t := 0; t < cfg.NumTrees; t++ {
-		// Bootstrap sample.
-		bootX := make([][]float64, len(X))
-		bootY := make([]bool, len(X))
-		inBag := make([]bool, len(X))
-		for i := range bootX {
-			j := rng.Intn(len(X))
-			bootX[i] = X[j]
-			bootY[i] = y[j]
-			inBag[j] = true
+		// Bootstrap sample, as the number of times each row is drawn.
+		clear(mult)
+		for range X {
+			mult[rng.Intn(len(X))]++
 		}
-		tr, err := tree.Train(bootX, bootY, tree.Config{
+		tr, err := p.Grow(mult, tree.Config{
 			MaxDepth:      cfg.MaxDepth,
 			MinLeaf:       cfg.MinLeaf,
 			FeatureSubset: sub,
@@ -84,8 +86,8 @@ func Train(X [][]float64, y []bool, cfg Config) (*Forest, error) {
 			return nil, err
 		}
 		f.trees = append(f.trees, tr)
-		for i := range X {
-			if inBag[i] {
+		for i, k := range mult {
+			if k > 0 {
 				continue
 			}
 			oobCount[i]++

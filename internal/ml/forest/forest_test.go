@@ -3,6 +3,7 @@ package forest
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -179,5 +180,37 @@ func TestImbalancedData(t *testing.T) {
 	}
 	if f.Predict([]float64{0, 0, 0}) {
 		t.Error("majority region misclassified")
+	}
+}
+
+func TestTrainRejectsNaN(t *testing.T) {
+	X, y := blobs(20, 3, 9)
+	X[10][2] = math.NaN()
+	_, err := Train(X, y, DefaultConfig())
+	if err == nil || !strings.Contains(err.Error(), "row 10, column 2") {
+		t.Fatalf("NaN at row 10, column 2: err %v, want one naming the cell", err)
+	}
+	X[10][2] = math.Inf(-1)
+	if _, err := Train(X, y, DefaultConfig()); err != nil {
+		t.Fatalf("-Inf is ordered and must train: %v", err)
+	}
+}
+
+var trained *Forest
+
+// BenchmarkTrain is the serve learner's retrain after a confirmed
+// seizure: DefaultConfig's 50 trees on a learner-shaped set, cycling
+// through eight seeds as successive retrains do.
+func BenchmarkTrain(b *testing.B) {
+	X, y := learnerSet(1)
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i%8 + 1)
+		f, err := Train(X, y, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trained = f
 	}
 }

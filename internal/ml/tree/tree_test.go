@@ -1,7 +1,9 @@
 package tree
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -172,5 +174,33 @@ func TestNumFeatures(t *testing.T) {
 	}
 	if tr.NumFeatures() != 2 {
 		t.Errorf("NumFeatures = %d", tr.NumFeatures())
+	}
+}
+
+// TestTrainRejectsNaN: a NaN has no place in the sorted order. Under
+// the per-node sort, these 20 rows with the NaN at row 10 trained to one
+// leaf: a NaN threshold won the sweep and value <= NaN sent every row
+// right. Train names the first NaN cell instead; ±Inf order totally and
+// train.
+func TestTrainRejectsNaN(t *testing.T) {
+	X := make([][]float64, 20)
+	y := make([]bool, 20)
+	for i := range X {
+		X[i] = []float64{float64(i), float64(i % 3)}
+		y[i] = i >= 10
+	}
+	X[10][0] = math.NaN()
+	_, err := Train(X, y, Config{MaxDepth: 3, MinLeaf: 1})
+	if err == nil || !strings.Contains(err.Error(), "row 10, column 0") {
+		t.Fatalf("NaN at row 10, column 0: err %v, want one naming the cell", err)
+	}
+	X[10][0] = math.Inf(1)
+	tr, err := Train(X, y, Config{MaxDepth: 3, MinLeaf: 1})
+	if err != nil {
+		t.Fatalf("+Inf is ordered and must train: %v", err)
+	}
+	if tr.NumNodes() != 3 || tr.root.feature != 0 || tr.root.threshold != 10 {
+		t.Errorf("with +Inf at row 10: %d nodes, root split on %d at %v; want 3 nodes split on 0 at 10",
+			tr.NumNodes(), tr.root.feature, tr.root.threshold)
 	}
 }
