@@ -89,7 +89,11 @@ func BenchmarkE8_GenericVsPersonalized(b *testing.B) {
 	opts.ForestCfg.NumTrees = 10
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := pipeline.ValidateGeneric(opts)
+		corpus, err := pipeline.NewCorpus(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := corpus.Generic()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -220,7 +224,11 @@ func BenchmarkFig4_SelfLearningValidation(b *testing.B) {
 	opts.ForestCfg.NumTrees = 10
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := pipeline.Validate(opts)
+		corpus, err := pipeline.NewCorpus(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := corpus.Validate()
 		if err != nil {
 			b.Fatal(err)
 		}

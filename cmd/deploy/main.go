@@ -46,20 +46,7 @@ func main() {
 	}
 	fmt.Printf("self-learning on %s: %d events\n", p.ID, *events)
 	for ev := 1; ev <= *events; ev++ {
-		rec, err := p.SeizureRecord(ev, 0)
-		if err != nil {
-			fatal(err)
-		}
-		truth := rec.Seizures[0]
-		lo := truth.Start - *crop/2
-		if lo < 0 {
-			lo = 0
-		}
-		buf, err := rec.Slice(lo, lo+*crop)
-		if err != nil {
-			fatal(err)
-		}
-		iv, err := session.ReportMissedSeizure(buf)
+		iv, err := session.ReportSeizure(ev)
 		if err != nil {
 			fatal(err)
 		}

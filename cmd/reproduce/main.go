@@ -3,10 +3,11 @@
 // verdict table. It is the single entry point for checking the whole
 // reproduction:
 //
-//	go run ./cmd/reproduce            # reduced scale, ~2 minutes
+//	go run ./cmd/reproduce            # reduced scale, ~50 s on 2 vCPUs
 //	go run ./cmd/reproduce -samples 100 -crop 2700 -trees 50   # full scale
 //
-// Exit status is nonzero when any structural check deviates.
+// Exit status is nonzero when any structural check deviates. The
+// default output is pinned by testdata/default.golden.
 package main
 
 import (
@@ -61,7 +62,13 @@ func main() {
 	pOpts.CropDuration = *crop
 	pOpts.ForestCfg.NumTrees = *trees
 	pOpts.Seed = *seed
-	val, err := pipeline.Validate(pOpts)
+	// E4 and E8 read the same seizure crops: one corpus prepares each
+	// once.
+	corpus, err := pipeline.NewCorpus(pOpts)
+	if err != nil {
+		fatal(err)
+	}
+	val, err := corpus.Validate()
 	if err != nil {
 		fatal(err)
 	}
@@ -91,7 +98,7 @@ func main() {
 
 	// E8: generic vs personalized.
 	fmt.Fprintln(os.Stderr, "running E8 (generic vs personalized)...")
-	gen, err := pipeline.ValidateGeneric(pOpts)
+	gen, err := corpus.Generic()
 	if err != nil {
 		fatal(err)
 	}

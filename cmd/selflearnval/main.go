@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	selflearnval [-patient chbNN] [-crop SECONDS] [-trees N] [-seed S]
+//	selflearnval [-patient chbNN | -generic] [-eventlevel] [-crop SECONDS] [-trees N] [-seed S]
 package main
 
 import (
@@ -25,6 +25,10 @@ func main() {
 	generic := flag.Bool("generic", false, "also run the generic-vs-personalized motivation experiment (Section I)")
 	eventLevel := flag.Bool("eventlevel", false, "also run the event-level detection study (extension E11)")
 	flag.Parse()
+	if *generic && *patient != "" {
+		fmt.Fprintln(os.Stderr, "selflearnval: -generic compares patients with each other; it cannot run with -patient")
+		os.Exit(2)
+	}
 
 	opts := pipeline.DefaultOptions()
 	opts.CropDuration = *crop
@@ -39,7 +43,14 @@ func main() {
 		opts.Patients = []chbmit.Patient{p}
 	}
 
-	res, err := pipeline.Validate(opts)
+	// Fig. 4 and the generic experiment read the same seizure crops: one
+	// corpus prepares each once.
+	corpus, err := pipeline.NewCorpus(opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	res, err := corpus.Validate()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -67,7 +78,7 @@ func main() {
 	if *generic {
 		fmt.Println()
 		fmt.Println("GENERIC VS PERSONALIZED TRAINING (Section I motivation)")
-		gres, err := pipeline.ValidateGeneric(opts)
+		gres, err := corpus.Generic()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

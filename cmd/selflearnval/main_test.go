@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestMain runs the test binary as selflearnval when SELFLEARNVAL_MAIN
@@ -51,5 +52,21 @@ func TestUnknownPatient(t *testing.T) {
 	}
 	if out != "" {
 		t.Errorf("-patient chb99: stdout %q, want nothing", out)
+	}
+}
+
+// TestGenericNeedsCatalog refuses -generic with -patient before any
+// work: the generic arm trains on other patients' seizures.
+func TestGenericNeedsCatalog(t *testing.T) {
+	start := time.Now()
+	code, out, errOut := selflearnval(t, "-patient", "chb01", "-generic")
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("-patient chb01 -generic took %v, want a refusal before any work", elapsed)
+	}
+	if code != 2 || !strings.Contains(errOut, "-generic") {
+		t.Errorf("-patient chb01 -generic: exit %d, stderr %q, want 2 and the flag named", code, errOut)
+	}
+	if out != "" {
+		t.Errorf("-patient chb01 -generic: stdout %q, want nothing", out)
 	}
 }

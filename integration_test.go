@@ -297,7 +297,11 @@ func TestDetectorTrainsOnAlgorithmLabels(t *testing.T) {
 	opts.Patients = []chbmit.Patient{p}
 	opts.CropDuration = 600
 	opts.ForestCfg.NumTrees = 15
-	res, err := pipeline.Validate(opts)
+	corpus, err := pipeline.NewCorpus(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := corpus.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,58 +73,25 @@ func EventLevelStudy(patients []chbmit.Patient, opts Options, trainEvents int, b
 			return nil, err
 		}
 		for ev := 1; ev <= trainEvents; ev++ {
-			rec, err := p.SeizureRecord(ev, 0)
-			if err != nil {
-				return nil, err
-			}
-			truth := rec.Seizures[0]
-			lo := truth.Start - opts.CropDuration/2
-			if lo < 0 {
-				lo = 0
-			}
-			buf, err := rec.Slice(lo, lo+opts.CropDuration)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := session.ReportMissedSeizure(buf); err != nil {
+			if _, err := session.ReportSeizure(ev); err != nil {
 				return nil, err
 			}
 		}
 		pl := EventLevelPatient{PatientID: p.ID}
 		// Held-out seizures at event level.
 		for ev := trainEvents + 1; ev <= len(p.Seizures); ev++ {
-			rec, err := p.SeizureRecord(ev, 0)
+			crop, err := heldOut(p, ev)
 			if err != nil {
 				return nil, err
 			}
-			truth := rec.Seizures[0]
-			crop, err := rec.Slice(truth.Start-200, truth.Start+200)
+			m, lat, err := session.scoreHeldOut(crop)
 			if err != nil {
 				return nil, err
 			}
-			preds, _, err := session.Detect(crop)
-			if err != nil {
-				return nil, err
-			}
-			det, err := rt.NewDetector(noopClf{}, rt.DefaultConfig())
-			if err != nil {
-				return nil, err
-			}
-			for _, pr := range preds {
-				det.PushPrediction(pr)
-			}
-			t := crop.Seizures[0]
-			m := eval.ScoreDetections(alarmTimes(det), []signal.Interval{t}, 10, 0)
 			pl.Events++
 			if m.Detected == 1 {
 				pl.Detected++
-				lat := rt.Latency(det.Alarms(), t.Start-10)
 				if lat >= 0 {
-					if lat > 10 {
-						lat -= 10 // re-base to the annotated onset
-					} else {
-						lat = 0
-					}
 					pl.Latencies = append(pl.Latencies, lat)
 				}
 			}
@@ -135,18 +102,11 @@ func EventLevelStudy(patients []chbmit.Patient, opts Options, trainEvents int, b
 		if err != nil {
 			return nil, err
 		}
-		preds, _, err := session.Detect(bg)
+		alarms, err := session.alarms(bg)
 		if err != nil {
 			return nil, err
 		}
-		det, err := rt.NewDetector(noopClf{}, rt.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		for _, pr := range preds {
-			det.PushPrediction(pr)
-		}
-		pl.FalseAlarms += len(det.Alarms())
+		pl.FalseAlarms += len(alarms)
 		pl.BackgroundHours = bgSeconds / 3600
 
 		totalEvents += pl.Events
@@ -181,3 +141,61 @@ func median(xs []float64) float64 {
 	}
 	return (sorted[len(sorted)/2-1] + sorted[len(sorted)/2]) / 2
 }
+
+// heldOut renders the patient's seizure ev and keeps the 400 s around
+// its onset: the record the studies score event-level detection on.
+func heldOut(p chbmit.Patient, ev int) (*signal.Recording, error) {
+	rec, err := p.SeizureRecord(ev, 0)
+	if err != nil {
+		return nil, err
+	}
+	onset := rec.Seizures[0].Start
+	return rec.Slice(onset-200, onset+200)
+}
+
+// scoreHeldOut replays s's detector over a heldOut crop and scores the
+// alarms against its seizure, counting alarms up to 10 s early. lat is
+// the first alarm's delay after the annotated onset in seconds, 0 for
+// an early alarm, and -1 when no alarm fires from 10 s before onset on.
+func (s *Session) scoreHeldOut(crop *signal.Recording) (m eval.DetectionMetrics, lat float64, err error) {
+	alarms, err := s.alarms(crop)
+	if err != nil {
+		return m, 0, err
+	}
+	t := crop.Seizures[0]
+	times := make([]float64, len(alarms))
+	for i, a := range alarms {
+		times[i] = a.Time
+	}
+	m = eval.ScoreDetections(times, []signal.Interval{t}, 10, 0)
+	lat = rt.Latency(alarms, t.Start-10)
+	if lat > 10 {
+		lat -= 10 // re-base to the annotated onset
+	} else if lat >= 0 {
+		lat = 0
+	}
+	return m, lat, nil
+}
+
+// alarms runs s's detector over rec and replays its window predictions
+// through the rt alarm layer with its default 3-of-5 vote and
+// refractory period.
+func (s *Session) alarms(rec *signal.Recording) ([]rt.Alarm, error) {
+	preds, _, err := s.Detect(rec)
+	if err != nil {
+		return nil, err
+	}
+	det, err := rt.NewDetector(noopClf{}, rt.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	for _, pr := range preds {
+		det.PushPrediction(pr)
+	}
+	return det.Alarms(), nil
+}
+
+// noopClf satisfies rt.Classifier for pre-computed prediction streams.
+type noopClf struct{}
+
+func (noopClf) Predict([]float64) bool { return false }

@@ -5,9 +5,6 @@ import (
 	"math/rand"
 
 	"selflearn/internal/chbmit"
-	"selflearn/internal/eval"
-	"selflearn/internal/rt"
-	"selflearn/internal/signal"
 	"selflearn/internal/synth"
 )
 
@@ -54,20 +51,7 @@ func FalseAlarmStudy(p chbmit.Patient, opts Options, backgroundSeconds float64, 
 			return nil, err
 		}
 		for ev := 1; ev <= events; ev++ {
-			rec, err := p.SeizureRecord(ev, 0)
-			if err != nil {
-				return nil, err
-			}
-			truth := rec.Seizures[0]
-			lo := truth.Start - o.CropDuration/2
-			if lo < 0 {
-				lo = 0
-			}
-			buf, err := rec.Slice(lo, lo+o.CropDuration)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := s.ReportMissedSeizure(buf); err != nil {
+			if _, err := s.ReportSeizure(ev); err != nil {
 				return nil, err
 			}
 		}
@@ -99,77 +83,31 @@ func FalseAlarmStudy(p chbmit.Patient, opts Options, backgroundSeconds float64, 
 		}
 	}
 	res := &FalseAlarmResult{BackgroundHours: backgroundSeconds / 3600}
-	countAlarms := func(s *Session) (int, error) {
-		preds, _, err := s.Detect(bg)
-		if err != nil {
-			return 0, err
-		}
-		det, err := rt.NewDetector(noopClf{}, rt.DefaultConfig())
-		if err != nil {
-			return 0, err
-		}
-		for _, pr := range preds {
-			det.PushPrediction(pr)
-		}
-		return len(det.Alarms()), nil
-	}
-	nPlain, err := countAlarms(plain)
+	plainAlarms, err := plain.alarms(bg)
 	if err != nil {
 		return nil, err
 	}
-	nAug, err := countAlarms(augmented)
+	augAlarms, err := augmented.alarms(bg)
 	if err != nil {
 		return nil, err
 	}
-	res.FalseAlarmsPerHourPlain = float64(nPlain) / res.BackgroundHours
-	res.FalseAlarmsPerHourAugmented = float64(nAug) / res.BackgroundHours
+	res.FalseAlarmsPerHourPlain = float64(len(plainAlarms)) / res.BackgroundHours
+	res.FalseAlarmsPerHourAugmented = float64(len(augAlarms)) / res.BackgroundHours
 
 	// Sensitivity on a held-out seizure.
-	test, err := p.SeizureRecord(events+1, 0)
+	crop, err := heldOut(p, events+1)
 	if err != nil {
 		return nil, err
 	}
-	truth := test.Seizures[0]
-	crop, err := test.Slice(truth.Start-200, truth.Start+200)
+	mPlain, _, err := plain.scoreHeldOut(crop)
 	if err != nil {
 		return nil, err
 	}
-	detects := func(s *Session) (bool, error) {
-		preds, _, err := s.Detect(crop)
-		if err != nil {
-			return false, err
-		}
-		det, err := rt.NewDetector(noopClf{}, rt.DefaultConfig())
-		if err != nil {
-			return false, err
-		}
-		for _, pr := range preds {
-			det.PushPrediction(pr)
-		}
-		t := crop.Seizures[0]
-		m := eval.ScoreDetections(alarmTimes(det), []signal.Interval{t}, 10, 0)
-		return m.Detected == 1, nil
-	}
-	if res.SeizureDetectedPlain, err = detects(plain); err != nil {
+	mAug, _, err := augmented.scoreHeldOut(crop)
+	if err != nil {
 		return nil, err
 	}
-	if res.SeizureDetectedAugmented, err = detects(augmented); err != nil {
-		return nil, err
-	}
+	res.SeizureDetectedPlain = mPlain.Detected == 1
+	res.SeizureDetectedAugmented = mAug.Detected == 1
 	return res, nil
-}
-
-// noopClf satisfies rt.Classifier for pre-computed prediction streams.
-type noopClf struct{}
-
-func (noopClf) Predict([]float64) bool { return false }
-
-// alarmTimes returns the stream times of det's alarms, in firing order.
-func alarmTimes(det *rt.Detector) []float64 {
-	alarms := det.Alarms()
-	ts := make([]float64, len(alarms))
-	for i, a := range alarms {
-		ts[i] = a.Time
-	}
-	return ts
 }

@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"selflearn/internal/chbmit"
-	"selflearn/internal/features"
-	"selflearn/internal/ml/forest"
 	"selflearn/internal/ml/metrics"
-	"selflearn/internal/signal"
 	"selflearn/internal/stats"
 )
 
@@ -40,7 +36,7 @@ func (g *GenericResult) Gap() float64 {
 	return 100 * (g.PersonalizedGeoMean - g.GenericGeoMean)
 }
 
-// ValidateGeneric runs the generic-vs-personalized experiment. For every
+// Generic runs the generic-vs-personalized experiment. For every
 // patient, the last seizure record is held out for testing. The
 // personalized arm trains on up to MaxTrainSeizures of the patient's
 // other seizures; the generic arm trains on the *same number* of
@@ -48,46 +44,23 @@ func (g *GenericResult) Gap() float64 {
 // EEG the training data comes from. Both training sets are balanced at
 // the window level and labeled with expert annotations (best case for
 // both arms).
-func ValidateGeneric(opts Options) (*GenericResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	patients := opts.Patients
-	if patients == nil {
-		patients = chbmit.Patients()
-	}
+func (c *Corpus) Generic() (*GenericResult, error) {
+	patients := c.patients
 	if len(patients) < 2 {
 		return nil, fmt.Errorf("pipeline: generic experiment needs >=2 patients, got %d", len(patients))
 	}
-	// Lazy per-(patient, seizure) extraction cache.
-	cache := map[[2]int]*seizureData{}
-	prepare := func(pi, seizureIdx int) (*seizureData, error) {
-		key := [2]int{pi, seizureIdx}
-		if d, ok := cache[key]; ok {
-			return d, nil
-		}
-		d, err := prepareSeizure(patients[pi], seizureIdx, opts)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: patient %s seizure %d: %w", patients[pi].ID, seizureIdx, err)
-		}
-		cache[key] = d
-		return d, nil
-	}
-
 	res := &GenericResult{}
 	var geoPers, geoGen []float64
 	for i, p := range patients {
-		testIdx := len(p.Seizures)
-		test, err := prepare(i, testIdx)
+		test, err := c.seizure(i, len(p.Seizures))
 		if err != nil {
 			return nil, err
 		}
-		testLabels := features.Labels(test.m54, []signal.Interval{test.truth})
 
 		// Personalized arm: own seizures, excluding the test one.
 		nOwn := len(p.Seizures) - 1
-		if nOwn > opts.MaxTrainSeizures {
-			nOwn = opts.MaxTrainSeizures
+		if nOwn > c.opts.MaxTrainSeizures {
+			nOwn = c.opts.MaxTrainSeizures
 		}
 		if nOwn > len(patients)-1 {
 			nOwn = len(patients) - 1 // keep both arms the same size
@@ -96,8 +69,8 @@ func ValidateGeneric(opts Options) (*GenericResult, error) {
 			return nil, fmt.Errorf("pipeline: patient %s has no training seizures", p.ID)
 		}
 		var own []*seizureData
-		for s := 1; len(own) < nOwn && s < testIdx; s++ {
-			d, err := prepare(i, s)
+		for s := 1; len(own) < nOwn && s < len(p.Seizures); s++ {
+			d, err := c.seizure(i, s)
 			if err != nil {
 				return nil, err
 			}
@@ -115,7 +88,7 @@ func ValidateGeneric(opts Options) (*GenericResult, error) {
 			if len(patients[j].Seizures) < 2 {
 				idx = 1
 			}
-			d, err := prepare(j, idx)
+			d, err := c.seizure(j, idx)
 			if err != nil {
 				return nil, err
 			}
@@ -126,42 +99,18 @@ func ValidateGeneric(opts Options) (*GenericResult, error) {
 				p.ID, len(own), len(foreign))
 		}
 
-		rng := rand.New(rand.NewSource(opts.Seed ^ int64(1000+p.Ordinal)))
-		score := func(train []*seizureData) (metrics.Confusion, error) {
-			X, y, err := trainingSet(train, ExpertLabels, rng)
-			if err != nil {
-				return metrics.Confusion{}, err
-			}
-			cfg := opts.ForestCfg
-			cfg.Seed = opts.Seed ^ int64(p.Ordinal*7)
-			f, err := forest.Train(X, y, cfg)
-			if err != nil {
-				return metrics.Confusion{}, err
-			}
-			var c metrics.Confusion
-			preds := f.PredictBatch(test.m54.Rows)
-			for j := range preds {
-				c.Count(preds[j], testLabels[j])
-			}
-			return c, nil
-		}
-		pers, err := score(own)
-		if err != nil {
+		pr := GenericPatientResult{PatientID: p.ID, Ordinal: p.Ordinal, TrainCount: len(own)}
+		rng := rand.New(rand.NewSource(c.opts.Seed ^ int64(1000+p.Ordinal)))
+		seed := c.opts.Seed ^ int64(p.Ordinal*7)
+		if err := c.score(&pr.Personalized, own, ExpertLabels, rng, seed, test); err != nil {
 			return nil, err
 		}
-		gen, err := score(foreign)
-		if err != nil {
+		if err := c.score(&pr.Generic, foreign, ExpertLabels, rng, seed, test); err != nil {
 			return nil, err
 		}
-		res.PerPatient = append(res.PerPatient, GenericPatientResult{
-			PatientID:    p.ID,
-			Ordinal:      p.Ordinal,
-			TrainCount:   len(own),
-			Personalized: pers,
-			Generic:      gen,
-		})
-		geoPers = append(geoPers, clamp01(pers.GeometricMean()))
-		geoGen = append(geoGen, clamp01(gen.GeometricMean()))
+		res.PerPatient = append(res.PerPatient, pr)
+		geoPers = append(geoPers, clamp01(pr.Personalized.GeometricMean()))
+		geoGen = append(geoGen, clamp01(pr.Generic.GeometricMean()))
 	}
 	res.PersonalizedGeoMean = stats.GeometricMean(geoPers)
 	res.GenericGeoMean = stats.GeometricMean(geoGen)

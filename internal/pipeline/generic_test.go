@@ -21,7 +21,11 @@ func TestValidateGenericSmall(t *testing.T) {
 	}
 	opts := fastOptions()
 	opts.Patients = ps
-	res, err := ValidateGeneric(opts)
+	c, err := NewCorpus(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Generic()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,12 +54,16 @@ func TestValidateGenericErrors(t *testing.T) {
 	p, _ := chbmit.PatientByID("chb01")
 	opts := fastOptions()
 	opts.Patients = []chbmit.Patient{p}
-	if _, err := ValidateGeneric(opts); err == nil {
+	c, err := NewCorpus(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Generic(); err == nil {
 		t.Error("single patient should fail")
 	}
 	opts = fastOptions()
 	opts.MaxTrainSeizures = 0
-	if _, err := ValidateGeneric(opts); err == nil {
+	if _, err := NewCorpus(opts); err == nil {
 		t.Error("invalid options should fail")
 	}
 }

@@ -98,37 +98,40 @@ func (o Options) Validate() error {
 }
 
 // seizureData bundles one seizure's extracted materials, shared across
-// folds.
+// folds and experiments.
 type seizureData struct {
 	index int
-	// m54 is the 54-feature matrix of the crop; m10 the labeling-feature
-	// matrix.
-	m54, m10 *features.Matrix
+	// m54 is the 54-feature matrix of the crop.
+	m54 *features.Matrix
 	// truth is the expert interval, algo the a-posteriori interval, both
 	// relative to the crop.
 	truth, algo signal.Interval
-	// cropLen is the crop duration in seconds.
-	cropLen float64
 	// labelDelta is δ between algo and truth (diagnostics).
 	labelDelta float64
 }
 
-// prepareSeizure renders, crops and extracts one seizure record.
+// cropAt cuts dur seconds of rec starting at lo, shifted to lie inside
+// the record. It is the one buffer rule of the package: the experiments'
+// crops and the studies' missed-seizure buffers both go through it.
+func cropAt(rec *signal.Recording, lo, dur float64) (*signal.Recording, error) {
+	if lo < 0 {
+		lo = 0
+	}
+	if lo+dur > rec.Duration() {
+		lo = rec.Duration() - dur
+	}
+	return rec.Slice(lo, lo+dur)
+}
+
+// prepareSeizure renders, crops and extracts one seizure record. The
+// crop is centered on the seizure.
 func prepareSeizure(p chbmit.Patient, seizureIdx int, opts Options) (*seizureData, error) {
 	rec, err := p.SeizureRecord(seizureIdx, 0)
 	if err != nil {
 		return nil, err
 	}
 	truth := rec.Seizures[0]
-	// Center the crop on the seizure, clamped to the record.
-	lo := truth.Start + truth.Duration()/2 - opts.CropDuration/2
-	if lo < 0 {
-		lo = 0
-	}
-	if lo+opts.CropDuration > rec.Duration() {
-		lo = rec.Duration() - opts.CropDuration
-	}
-	crop, err := rec.Slice(lo, lo+opts.CropDuration)
+	crop, err := cropAt(rec, truth.Start+truth.Duration()/2-opts.CropDuration/2, opts.CropDuration)
 	if err != nil {
 		return nil, err
 	}
@@ -149,10 +152,8 @@ func prepareSeizure(p chbmit.Patient, seizureIdx int, opts Options) (*seizureDat
 	return &seizureData{
 		index:      seizureIdx,
 		m54:        m54,
-		m10:        m10,
 		truth:      cropTruth,
 		algo:       algo,
-		cropLen:    opts.CropDuration,
 		labelDelta: eval.Delta(cropTruth, algo),
 	}, nil
 }
@@ -225,13 +226,23 @@ func (v *ValidationResult) Degradation() float64 {
 	return 100 * (v.ExpertGeoMean - v.AlgorithmGeoMean)
 }
 
-// Validate runs the Section VI-B experiment: for every patient, every
-// seizure serves once as the test record in a leave-one-seizure-out fold
-// while up to MaxTrainSeizures of the remaining seizures form the
-// balanced training set, labeled either by the expert annotations or by
-// the a-posteriori algorithm. Window-level predictions on the held-out
-// record (always scored against expert labels) are pooled per patient.
-func Validate(opts Options) (*ValidationResult, error) {
+// Corpus is the prepared seizure set that both training-set experiments
+// read: Fig. 4 (Validate) and the generic-versus-personalized
+// comparison (Generic). Each (patient, seizure) crop is rendered,
+// extracted and labeled at most once, on first use. A crop depends
+// only on its patient, its seizure and the Options, so the results do
+// not depend on which experiment runs first. A Corpus is not safe for
+// concurrent use.
+type Corpus struct {
+	opts     Options
+	patients []chbmit.Patient
+	// crops is keyed by (index into patients, seizure index).
+	crops map[[2]int]*seizureData
+}
+
+// NewCorpus checks the options and returns a corpus over opts.Patients
+// (nil means the full catalog) with no crop prepared yet.
+func NewCorpus(opts Options) (*Corpus, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -239,12 +250,58 @@ func Validate(opts Options) (*ValidationResult, error) {
 	if patients == nil {
 		patients = chbmit.Patients()
 	}
+	return &Corpus{opts: opts, patients: patients, crops: map[[2]int]*seizureData{}}, nil
+}
+
+// seizure returns seizure seizureIdx of patient pi, preparing it on
+// first use.
+func (c *Corpus) seizure(pi, seizureIdx int) (*seizureData, error) {
+	key := [2]int{pi, seizureIdx}
+	if d, ok := c.crops[key]; ok {
+		return d, nil
+	}
+	d, err := prepareSeizure(c.patients[pi], seizureIdx, c.opts)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: patient %s seizure %d: %w", c.patients[pi].ID, seizureIdx, err)
+	}
+	c.crops[key] = d
+	return d, nil
+}
+
+// score is one fold of either experiment: it trains a forest seeded
+// with seed on train's balanced windows, labeled by arm, and counts its
+// predictions on test's windows against test's expert labels into conf.
+func (c *Corpus) score(conf *metrics.Confusion, train []*seizureData, arm Arm, rng *rand.Rand, seed int64, test *seizureData) error {
+	X, y, err := trainingSet(train, arm, rng)
+	if err != nil {
+		return err
+	}
+	cfg := c.opts.ForestCfg
+	cfg.Seed = seed
+	f, err := forest.Train(X, y, cfg)
+	if err != nil {
+		return err
+	}
+	labels := features.Labels(test.m54, []signal.Interval{test.truth})
+	for i, pred := range f.PredictBatch(test.m54.Rows) {
+		conf.Count(pred, labels[i])
+	}
+	return nil
+}
+
+// Validate runs the Section VI-B experiment: for every patient, every
+// seizure serves once as the test record in a leave-one-seizure-out fold
+// while up to MaxTrainSeizures of the remaining seizures form the
+// balanced training set, labeled either by the expert annotations or by
+// the a-posteriori algorithm. Window-level predictions on the held-out
+// record (always scored against expert labels) are pooled per patient.
+func (c *Corpus) Validate() (*ValidationResult, error) {
 	res := &ValidationResult{}
 	var geoExp, geoAlg, seExp, seAlg, spExp, spAlg []float64
-	for _, p := range patients {
-		pv, err := validatePatient(p, opts)
+	for pi := range c.patients {
+		pv, err := c.validatePatient(pi)
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: patient %s: %w", p.ID, err)
+			return nil, err
 		}
 		res.PerPatient = append(res.PerPatient, *pv)
 		geoExp = append(geoExp, clamp01(pv.Expert.GeometricMean()))
@@ -273,55 +330,38 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-func validatePatient(p chbmit.Patient, opts Options) (*PatientValidation, error) {
+func (c *Corpus) validatePatient(pi int) (*PatientValidation, error) {
+	p := c.patients[pi]
 	if len(p.Seizures) < 2 {
-		return nil, errors.New("needs at least two seizures")
+		return nil, fmt.Errorf("pipeline: patient %s needs at least two seizures", p.ID)
 	}
-	// Extract every seizure once; folds reuse the cached matrices.
 	datas := make([]*seizureData, len(p.Seizures))
+	pv := &PatientValidation{PatientID: p.ID, Ordinal: p.Ordinal}
 	for i, sz := range p.Seizures {
-		d, err := prepareSeizure(p, sz.Index, opts)
+		d, err := c.seizure(pi, sz.Index)
 		if err != nil {
 			return nil, err
 		}
 		datas[i] = d
-	}
-	pv := &PatientValidation{PatientID: p.ID, Ordinal: p.Ordinal}
-	for _, d := range datas {
 		pv.LabelDeltas = append(pv.LabelDeltas, d.labelDelta)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed ^ int64(p.Ordinal)))
-	for testIdx := range datas {
+	rng := rand.New(rand.NewSource(c.opts.Seed ^ int64(p.Ordinal)))
+	for testIdx, test := range datas {
 		var train []*seizureData
 		for i, d := range datas {
 			if i != testIdx {
 				train = append(train, d)
 			}
 		}
-		if len(train) > opts.MaxTrainSeizures {
-			train = train[:opts.MaxTrainSeizures]
+		if len(train) > c.opts.MaxTrainSeizures {
+			train = train[:c.opts.MaxTrainSeizures]
 		}
-		test := datas[testIdx]
-		testLabels := features.Labels(test.m54, []signal.Interval{test.truth})
-		for _, arm := range []Arm{ExpertLabels, AlgorithmLabels} {
-			X, y, err := trainingSet(train, arm, rng)
-			if err != nil {
-				return nil, err
-			}
-			cfg := opts.ForestCfg
-			cfg.Seed = opts.Seed ^ int64(p.Ordinal*100+testIdx)
-			f, err := forest.Train(X, y, cfg)
-			if err != nil {
-				return nil, err
-			}
-			preds := f.PredictBatch(test.m54.Rows)
-			target := &pv.Expert
-			if arm == AlgorithmLabels {
-				target = &pv.Algorithm
-			}
-			for i := range preds {
-				target.Count(preds[i], testLabels[i])
-			}
+		seed := c.opts.Seed ^ int64(p.Ordinal*100+testIdx)
+		if err := c.score(&pv.Expert, train, ExpertLabels, rng, seed, test); err != nil {
+			return nil, fmt.Errorf("pipeline: patient %s: %w", p.ID, err)
+		}
+		if err := c.score(&pv.Algorithm, train, AlgorithmLabels, rng, seed, test); err != nil {
+			return nil, fmt.Errorf("pipeline: patient %s: %w", p.ID, err)
 		}
 	}
 	return pv, nil
@@ -421,6 +461,27 @@ func (s *Session) ReportMissedSeizure(rec *signal.Recording) (signal.Interval, e
 	s.det = f
 	s.events++
 	return iv, nil
+}
+
+// ReportSeizure renders the patient's seizure ev and reports it through
+// ReportMissedSeizure with the buffer a device would hold: CropDuration
+// seconds from half a buffer before onset, shifted to lie inside the
+// record. It returns the label, relative to the buffer.
+func (s *Session) ReportSeizure(ev int) (signal.Interval, error) {
+	buf, err := s.buffer(ev)
+	if err != nil {
+		return signal.Interval{}, err
+	}
+	return s.ReportMissedSeizure(buf)
+}
+
+// buffer is the buffer ReportSeizure reports for seizure ev.
+func (s *Session) buffer(ev int) (*signal.Recording, error) {
+	rec, err := s.patient.SeizureRecord(ev, 0)
+	if err != nil {
+		return nil, err
+	}
+	return cropAt(rec, rec.Seizures[0].Start-s.opts.CropDuration/2, s.opts.CropDuration)
 }
 
 // augmentNegatives synthesizes an artifact-rich seizure-free stretch for

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"selflearn/internal/chbmit"
@@ -53,7 +54,11 @@ func TestValidateSinglePatient(t *testing.T) {
 	}
 	opts := fastOptions()
 	opts.Patients = []chbmit.Patient{p}
-	res, err := Validate(opts)
+	c, err := NewCorpus(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,28 +88,105 @@ func TestValidateSinglePatient(t *testing.T) {
 	}
 }
 
+// TestValidateDeterministic runs both experiments on two fresh corpora
+// in opposite orders: the results must not depend on which experiment
+// prepared a crop, and the second experiment must find every crop it
+// reads already prepared. Either experiment alone reads all 6 crops of
+// the two patients.
 func TestValidateDeterministic(t *testing.T) {
-	p, _ := chbmit.PatientByID("chb06") // 3 seizures
+	var ps []chbmit.Patient
+	for _, id := range []string{"chb02", "chb06"} { // 3 seizures each
+		p, err := chbmit.PatientByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
 	opts := fastOptions()
-	opts.Patients = []chbmit.Patient{p}
-	a, err := Validate(opts)
-	if err != nil {
-		t.Fatal(err)
+	opts.Patients = ps
+	validate := func(c *Corpus) (any, error) { return c.Validate() }
+	generic := func(c *Corpus) (any, error) { return c.Generic() }
+	run := func(first, second func(*Corpus) (any, error)) (a, b any) {
+		t.Helper()
+		c, err := NewCorpus(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, err = first(c); err != nil {
+			t.Fatal(err)
+		}
+		prepared := map[[2]int]*seizureData{}
+		for k, d := range c.crops {
+			prepared[k] = d
+		}
+		if b, err = second(c); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.crops) != 6 {
+			t.Errorf("corpus holds %d crops, want the 6 seizures of chb02 and chb06", len(c.crops))
+		}
+		for k, d := range c.crops {
+			if prepared[k] != d {
+				t.Errorf("the second experiment prepared crop %v again", k)
+			}
+		}
+		return a, b
 	}
-	b, err := Validate(opts)
-	if err != nil {
-		t.Fatal(err)
+	val1, gen1 := run(validate, generic)
+	gen2, val2 := run(generic, validate)
+	if !reflect.DeepEqual(val1, val2) {
+		t.Errorf("Validate depends on experiment order:\n%+v\n%+v", val1, val2)
 	}
-	if a.ExpertGeoMean != b.ExpertGeoMean || a.AlgorithmGeoMean != b.AlgorithmGeoMean {
-		t.Error("validation must be deterministic in the seed")
+	if !reflect.DeepEqual(gen1, gen2) {
+		t.Errorf("Generic depends on experiment order:\n%+v\n%+v", gen1, gen2)
 	}
 }
 
 func TestValidateRejectsBadOptions(t *testing.T) {
 	opts := fastOptions()
 	opts.MaxTrainSeizures = 0
-	if _, err := Validate(opts); err == nil {
+	if _, err := NewCorpus(opts); err == nil {
 		t.Error("invalid options should fail")
+	}
+}
+
+// TestReportSeizureClampsToRecord reports a seizure so late in its
+// record that a buffer starting half a crop before onset would run past
+// the end: the buffer shifts back inside the record instead.
+func TestReportSeizureClampsToRecord(t *testing.T) {
+	p, err := chbmit.PatientByID("chb02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := fastOptions()
+	opts.CropDuration = 3600
+	s, err := NewSession(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := p.SeizureRecord(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sz := rec.Seizures[0]
+	if _, err := rec.Slice(sz.Start-1800, sz.Start+1800); err == nil {
+		t.Fatalf("onset %.0f s: an unshifted 3,600 s buffer should run past the %.0f s record", sz.Start, rec.Duration())
+	}
+	buf, err := s.buffer(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The buffer is [600, 4200) of the record.
+	want := signal.Interval{Start: sz.Start - 600, End: sz.End - 600}
+	if buf.Duration() != 3600 || len(buf.Seizures) != 1 || buf.Seizures[0] != want {
+		t.Fatalf("buffer of %g s with seizures %v, want 3600 s with %v", buf.Duration(), buf.Seizures, want)
+	}
+	label, err := s.ReportSeizure(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if label.End <= want.Start || label.Start >= want.End {
+		t.Errorf("label %v does not overlap the seizure at %v", label, want)
 	}
 }
 
