@@ -65,9 +65,13 @@ func (p *Plan) Forward(x []complex128) error {
 
 // butterflies runs the stage loop over already bit-reversed data. The
 // first two stages use only the trivial twiddles 1 and −i, so they are
-// folded into one radix-4-style pass with no multiplies; later stages
-// special-case k = 0 (twiddle exactly 1) and read the rest from the
-// table.
+// folded into one radix-4-style pass with no multiplies. Later stages
+// run in pairs, sizes S and 2S in one pass over each 2S block's four
+// quarters, so the data is loaded and stored once per pair; an odd
+// last stage runs alone. Every element meets the same table twiddles,
+// multiplies and adds in the same order as in a pass per stage, and
+// k = 0 (twiddle exactly 1) skips its multiply in both stages, so the
+// spectrum is bit-identical to the radix-2 stage loop.
 //
 //selflearn:hotpath
 func (p *Plan) butterflies(x []complex128) {
@@ -91,13 +95,44 @@ func (p *Plan) butterflies(x []complex128) {
 	}
 	tw := p.tw
 	off := 3 // skip the size-2 and size-4 twiddle rows (1 + 2 entries)
-	for size := 8; size <= n; size <<= 1 {
+	size := 8
+	for ; 2*size <= n; size <<= 2 {
+		q := size >> 1 // quarter of a 2·size block: the size stage's half
+		row := tw[off:]
+		w1, w2, w3 := row[:q], row[q:][:q], row[2*q:][:q] // size stage; 2·size stage's halves
+		for start := 0; start < n; start += 2 * size {
+			blk := x[start:]
+			q0, q1, q2, q3 := blk[:q], blk[q:][:q], blk[2*q:][:q], blk[3*q:][:q]
+			// k = 0: the size stage's twiddle and the 2·size stage's
+			// first are exactly 1.
+			a, b, c, d := q0[0], q1[0], q2[0], q3[0]
+			a, b = a+b, a-b
+			c, d = c+d, c-d
+			t := d * w3[0]
+			q0[0], q2[0] = a+c, a-c
+			q1[0], q3[0] = b+t, b-t
+			for k := 1; k < q; k++ {
+				a, b, c, d := q0[k], q1[k], q2[k], q3[k]
+				w := w1[k]
+				t := b * w
+				a, b = a+t, a-t
+				t = d * w
+				c, d = c+t, c-t
+				t = c * w2[k]
+				q0[k], q2[k] = a+t, a-t
+				t = d * w3[k]
+				q1[k], q3[k] = b+t, b-t
+			}
+		}
+		off += q + size
+	}
+	if size <= n {
+		// An odd count of stages: the last runs alone.
 		half := size >> 1
 		stage := tw[off : off+half]
 		for start := 0; start < n; start += size {
 			a := x[start : start+half : start+half]
 			b := x[start+half : start+size : start+size]
-			// k = 0: twiddle is exactly 1
 			t := b[0]
 			u := a[0]
 			a[0] = u + t
@@ -109,7 +144,6 @@ func (p *Plan) butterflies(x []complex128) {
 				b[k] = u - t
 			}
 		}
-		off += half
 	}
 }
 

@@ -54,77 +54,57 @@ func (ws *Workspace) PadPow2(xs []float64) []float64 {
 }
 
 // forwardInto is one analysis step into caller-owned buffers, the
-// allocation-free core of Forward. The bulk of the outputs never wrap
-// (base+m-1 < n), so the wrap check is hoisted out of the main loop;
-// accumulation order is identical either way, keeping coefficients
-// bit-identical to Forward.
-func (ws *Workspace) forwardInto(approx, detail, x []float64) {
-	h, g := ws.lo, ws.hi
-	m := len(h)
+// allocation-free core of Forward, for the outputs from index from on;
+// a nil detail skips the highpass half.
+//
+//selflearn:hotpath
+func (ws *Workspace) forwardInto(approx, detail, x []float64, from int) {
+	analyze(approx, x, ws.lo, from)
+	if detail != nil {
+		analyze(detail, x, ws.hi, from)
+	}
+}
+
+// analyze is the one DWT analysis loop: out[i] = Σ_j f[j]·x[(2i+j) mod
+// len(x)] for i from from up to len(out). Each sum starts at +0 and
+// adds its taps in ascending j, as Forward's do, so coefficients are
+// bit-identical to Forward's, signed zeros included. The bulk of the
+// outputs never wrap, so the wrap check is hoisted out of the main
+// loop.
+//
+//selflearn:hotpath
+func analyze(out, x, f []float64, from int) {
 	n := len(x)
-	half := n / 2
-	straight := (n - m) / 2 // largest count of outputs with base+m-1 <= n-1
-	if straight < 0 {
-		straight = 0
-	}
-	if straight > half {
-		straight = half
-	}
-	if m == 8 {
-		// Eight-tap analysis (db4/sym4, the serving configuration) with
-		// the filter held in registers and the window load hoisted. The
-		// accumulation order is exactly the generic loop's
-		// (a += h[j]*v, ascending j), so coefficients stay bit-identical.
-		h0, h1, h2, h3, h4, h5, h6, h7 := h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7]
-		g0, g1, g2, g3, g4, g5, g6, g7 := g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7]
-		for i := 0; i < straight; i++ {
-			win := x[2*i : 2*i+8 : 2*i+8]
-			v0, v1, v2, v3 := win[0], win[1], win[2], win[3]
-			v4, v5, v6, v7 := win[4], win[5], win[6], win[7]
-			a := h0 * v0
-			a += h1 * v1
-			a += h2 * v2
-			a += h3 * v3
-			a += h4 * v4
-			a += h5 * v5
-			a += h6 * v6
-			a += h7 * v7
-			d := g0 * v0
-			d += g1 * v1
-			d += g2 * v2
-			d += g3 * v3
-			d += g4 * v4
-			d += g5 * v5
-			d += g6 * v6
-			d += g7 * v7
-			approx[i] = a
-			detail[i] = d
-		}
-	} else {
-		for i := 0; i < straight; i++ {
-			var a, d float64
-			win := x[2*i : 2*i+m]
-			for j, v := range win {
-				a += h[j] * v
-				d += g[j] * v
-			}
-			approx[i] = a
-			detail[i] = d
+	straight := min(max((len(x)-len(f))/2, 0), len(out)) // outputs below this index never wrap
+	i := from
+	if len(f) == 8 {
+		// Eight taps (db4/sym4, the serving configuration), held in
+		// registers.
+		f0, f1, f2, f3, f4, f5, f6, f7 := f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7]
+		for ; i < straight; i++ {
+			w := x[2*i : 2*i+8 : 2*i+8]
+			a := 0.0
+			a += f0 * w[0]
+			a += f1 * w[1]
+			a += f2 * w[2]
+			a += f3 * w[3]
+			a += f4 * w[4]
+			a += f5 * w[5]
+			a += f6 * w[6]
+			a += f7 * w[7]
+			out[i] = a
 		}
 	}
-	for i := straight; i < half; i++ {
-		var a, d float64
-		base := 2 * i
-		for j := 0; j < m; j++ {
-			idx := base + j
+	for ; i < len(out); i++ {
+		var a float64
+		for j, c := range f {
+			idx := 2*i + j
 			for idx >= n {
 				idx -= n // periodic wrap
 			}
-			a += h[j] * x[idx]
-			d += g[j] * x[idx]
+			a += c * x[idx]
 		}
-		approx[i] = a
-		detail[i] = d
+		out[i] = a
 	}
 }
 
@@ -187,7 +167,7 @@ func (ws *Workspace) ExtendInto(d *Decomposition, level int) error {
 	for l := have; l < level; l++ {
 		half := len(cur) / 2
 		d.Details[l] = grow(d.Details[l], half)
-		ws.forwardInto(next[:half], d.Details[l], cur)
+		ws.forwardInto(next[:half], d.Details[l], cur, 0)
 		cur, next = next[:half], cur
 	}
 	d.Approx = grow(d.Approx, len(cur))

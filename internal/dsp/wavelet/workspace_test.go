@@ -1,19 +1,22 @@
 package wavelet
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // TestDecomposeIntoMatchesDecompose reuses one workspace and
 // decomposition across signals of several lengths and wavelets,
-// demanding bit-identical coefficients versus the allocating path.
+// demanding bit-identical coefficients versus the allocating path —
+// signed zeros included: the 64-sample signals are mostly ±0.
 func TestDecomposeIntoMatchesDecompose(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, w := range []Wavelet{Haar, DB4, Sym4} {
 		ws := w.NewWorkspace()
 		var d Decomposition
-		for _, n := range []int{64, 512, 1024, 512} { // shrink back: buffers must resize down
+		for _, n := range []int{64, 512, 1024, 512, 64} { // shrink back: buffers must resize down
 			level := MaxLevel(n)
 			if level > 7 {
 				level = 7
@@ -21,6 +24,11 @@ func TestDecomposeIntoMatchesDecompose(t *testing.T) {
 			xs := make([]float64, n)
 			for i := range xs {
 				xs[i] = rng.NormFloat64()
+				if n == 64 && i%16 != 0 {
+					// Mostly ±0: the sums of signed zeros whose sign
+					// depends on the accumulator's +0 seed.
+					xs[i] = math.Copysign(0, xs[i])
+				}
 			}
 			want, err := w.Decompose(xs, level)
 			if err != nil {
@@ -33,21 +41,23 @@ func TestDecomposeIntoMatchesDecompose(t *testing.T) {
 				t.Fatalf("%s n=%d: %d levels vs %d", w.Name(), n, len(d.Details), len(want.Details))
 			}
 			for l := 1; l <= level; l++ {
-				got, ref := d.Detail(l), want.Detail(l)
-				if len(got) != len(ref) {
-					t.Fatalf("%s n=%d L%d: %d coeffs vs %d", w.Name(), n, l, len(got), len(ref))
-				}
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Fatalf("%s n=%d L%d[%d]: %g vs %g", w.Name(), n, l, i, got[i], ref[i])
-					}
-				}
+				sameBits(t, fmt.Sprintf("%s n=%d L%d", w.Name(), n, l), d.Detail(l), want.Detail(l))
 			}
-			for i := range want.Approx {
-				if d.Approx[i] != want.Approx[i] {
-					t.Fatalf("%s n=%d approx[%d]: %g vs %g", w.Name(), n, i, d.Approx[i], want.Approx[i])
-				}
-			}
+			sameBits(t, fmt.Sprintf("%s n=%d approx", w.Name(), n), d.Approx, want.Approx)
+		}
+	}
+}
+
+// sameBits fails unless got and want hold the same float64 bit
+// patterns: == would let -0 pass for +0.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d coeffs vs %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d]: %v vs %v", what, i, got[i], want[i])
 		}
 	}
 }

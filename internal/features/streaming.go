@@ -1,13 +1,16 @@
 package features
 
+import "selflearn/internal/dsp/wavelet"
+
 // Streamer computes the paper's 10-feature rows sample by sample, the
 // way the wearable's firmware does: two synchronized channel streams
 // feed ring buffers of one analysis window (4 s); every hop (1 s) a
 // feature row is emitted. Feeding an entire recording through a Streamer
 // yields exactly the matrix Extract10 computes in batch.
 //
-// A Streamer owns only its per-stream state: the two sample rings and
-// their counters. Window linearization, feature extraction and the
+// A Streamer owns only its per-stream state: the two sample rings,
+// their counters, and channel 2's DWT carried from one window to the
+// next. Window linearization, the rest of feature extraction and the
 // emitted row live in the Workspace it was built from, so many
 // streamers (a serving worker's patients) can share one extractor's
 // scratch.
@@ -19,6 +22,14 @@ type Streamer struct {
 	pos        int       // next write slot
 	filled     int       // samples buffered so far (caps at winSamples)
 	sinceEmit  int       // samples since the last emitted row
+
+	// dwt is the last window's decomposition of channel 2, which the
+	// next window, hopSamples later, slides forward (wavelet.Slide
+	// decides which coefficients carry over). It is nil for a window
+	// padded to a power of two, whose padding does not shift with the
+	// samples, and for one too short for the level; the workspace then
+	// decomposes each window in full.
+	dwt *wavelet.Sliding
 }
 
 // NewStreamer builds a streaming extractor for sampling rate fs on a
@@ -36,13 +47,19 @@ func NewStreamer(fs float64, cfg Config) (*Streamer, error) {
 // goroutine, and a row any of them returns stays valid only until any
 // of them emits the next row.
 func (ws *Workspace) NewStreamer() *Streamer {
-	return &Streamer{
+	s := &Streamer{
 		ws:         ws,
 		winSamples: ws.win,
 		hopSamples: ws.cfg.Window.HopSamples(ws.fs),
 		buf0:       make([]float64, ws.win),
 		buf1:       make([]float64, ws.win),
 	}
+	if ws.win&(ws.win-1) == 0 {
+		// An error leaves dwt nil: the first emit reports the
+		// unreachable level.
+		s.dwt, _ = ws.newSliding(ws.win)
+	}
+	return s
 }
 
 // NumFeatures returns the width of every emitted feature row, so
@@ -89,7 +106,7 @@ func (s *Streamer) emit() ([]float64, bool, error) {
 	copy(ws.lin0[n:], s.buf0[:s.pos])
 	n = copy(ws.lin1, s.buf1[s.pos:])
 	copy(ws.lin1[n:], s.buf1[:s.pos])
-	row, err := ws.Features10Into(ws.row[:0], ws.lin0, ws.lin1)
+	row, err := ws.features10(ws.row[:0], ws.lin0, ws.lin1, s.dwt, s.hopSamples)
 	if err != nil {
 		return nil, false, err
 	}

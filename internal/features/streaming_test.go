@@ -1,54 +1,73 @@
 package features
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"selflearn/internal/synth"
 )
 
+// TestStreamerMatchesBatchExactly streams a recording sample by sample
+// and compares every row, bit for bit, with Extract10's. At 256 Hz and
+// 128 Hz the streamer carries channel 2's DWT across hops. At 200 Hz
+// the 800-sample window is padded to 1,024, so it must fall back to a
+// full decomposition per window; so must 384 Hz, whose 384-sample hop
+// would divide down every level but whose 1,536-sample window is
+// padded to 2,048.
 func TestStreamerMatchesBatchExactly(t *testing.T) {
-	rec, err := synth.Generate(synth.RecordConfig{
-		PatientID:  "chb01",
-		RecordID:   "stream",
-		Seed:       77,
-		Duration:   60,
-		Background: synth.DefaultBackground(),
-		Seizures: []synth.SeizureEvent{
-			{Start: 20, Duration: 15, Config: synth.DefaultSeizure()},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := Extract10(rec, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := NewStreamer(rec.SampleRate, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed [][]float64
-	for i := range rec.Data[0] {
-		row, ready, err := st.Push(rec.Data[0][i], rec.Data[1][i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ready {
-			streamed = append(streamed, append([]float64(nil), row...))
-		}
-	}
-	if len(streamed) != batch.NumRows() {
-		t.Fatalf("streamed %d rows vs batch %d", len(streamed), batch.NumRows())
-	}
-	for i := range batch.Rows {
-		for f := range batch.Rows[i] {
-			if batch.Rows[i][f] != streamed[i][f] {
-				t.Fatalf("row %d feature %d: stream %g vs batch %g",
-					i, f, streamed[i][f], batch.Rows[i][f])
+	for _, tc := range []struct {
+		rate  float64
+		carry bool
+	}{{256, true}, {128, true}, {200, false}, {384, false}} {
+		t.Run(fmt.Sprint(tc.rate), func(t *testing.T) {
+			rec, err := synth.Generate(synth.RecordConfig{
+				PatientID:  "chb01",
+				RecordID:   "stream",
+				Seed:       77,
+				Duration:   60,
+				SampleRate: tc.rate,
+				Background: synth.DefaultBackground(),
+				Seizures: []synth.SeizureEvent{
+					{Start: 20, Duration: 15, Config: synth.DefaultSeizure()},
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			batch, err := Extract10(rec, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := NewStreamer(rec.SampleRate, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := st.dwt != nil; got != tc.carry {
+				t.Fatalf("streamer carries its DWT: %v, want %v", got, tc.carry)
+			}
+			var streamed [][]float64
+			for i := range rec.Data[0] {
+				row, ready, err := st.Push(rec.Data[0][i], rec.Data[1][i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ready {
+					streamed = append(streamed, append([]float64(nil), row...))
+				}
+			}
+			if len(streamed) != batch.NumRows() {
+				t.Fatalf("streamed %d rows vs batch %d", len(streamed), batch.NumRows())
+			}
+			for i := range batch.Rows {
+				for f := range batch.Rows[i] {
+					if math.Float64bits(batch.Rows[i][f]) != math.Float64bits(streamed[i][f]) {
+						t.Fatalf("row %d feature %d: stream %v vs batch %v",
+							i, f, streamed[i][f], batch.Rows[i][f])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -100,8 +119,14 @@ type streamedRow struct {
 // one Workspace — distinct recordings, pushed in chunks of varying
 // length, interleaved round-robin — and checks every row bit for bit,
 // at the same sample index, against a streamer with a workspace of its
-// own fed the same samples.
+// own fed the same samples, at 256 Hz and at 128 Hz.
 func TestSharedWorkspaceMatchesPrivateStreamers(t *testing.T) {
+	for _, rate := range []float64{256, 128} {
+		t.Run(fmt.Sprint(rate), func(t *testing.T) { sharedMatchesPrivate(t, rate) })
+	}
+}
+
+func sharedMatchesPrivate(t *testing.T, rate float64) {
 	const streams = 9
 	cfg := DefaultConfig()
 	recs := make([][2][]float64, streams)
@@ -112,6 +137,7 @@ func TestSharedWorkspaceMatchesPrivateStreamers(t *testing.T) {
 			RecordID:   "ws",
 			Seed:       int64(100 + i),
 			Duration:   float64(16 + 2*i),
+			SampleRate: rate,
 			Background: synth.DefaultBackground(),
 		}
 		if i%3 == 0 {

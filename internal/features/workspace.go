@@ -35,7 +35,9 @@ type Workspace struct {
 	psd0, psd1 spectrum.PSD
 
 	wl      *wavelet.Workspace
-	dec     wavelet.Decomposition // level cfg.Level subband decomposition
+	bands   subbands              // the detail levels the 10-feature row reads
+	dwt     *wavelet.Sliding      // channel 2's decomposition for rows of no carrying streamer
+	dec     wavelet.Decomposition // level cfg.Level subband decomposition (54-bank)
 	dec3    wavelet.Decomposition // separate level-3 pass when cfg.Level < 3
 	approx3 []float64             // level-3 approximation for the 54-bank
 
@@ -66,15 +68,34 @@ func NewWorkspace(fs float64, cfg Config) (*Workspace, error) {
 		return nil, err
 	}
 	return &Workspace{
-		fs:   fs,
-		cfg:  cfg,
-		win:  win,
-		spec: spec,
-		wl:   cfg.Wavelet.NewWorkspace(),
-		lin0: make([]float64, win),
-		lin1: make([]float64, win),
-		row:  make([]float64, 0, 10),
+		fs:    fs,
+		cfg:   cfg,
+		win:   win,
+		spec:  spec,
+		wl:    cfg.Wavelet.NewWorkspace(),
+		bands: subbands{deepest: cfg.Level, next: cfg.Level - 1, renyi: 3},
+		lin0:  make([]float64, win),
+		lin1:  make([]float64, win),
+		row:   make([]float64, 0, 10),
 	}, nil
+}
+
+// subbands names, in one place, the DWT detail levels the 10-feature
+// row reads; the decomposition keeps, and a streamer carries, only
+// these.
+type subbands struct {
+	deepest int // D_Level: permutation entropy, n = 5 and 7
+	next    int // D_Level−1: permutation entropy n = 7, sample entropy
+	renyi   int // D3: Rényi entropy
+}
+
+// newSliding allocates a decomposition of n-sample windows keeping the
+// row's subbands.
+//
+//selflearn:alloc-ok once per streamer at construction, and once per workspace on its first full decomposition
+func (ws *Workspace) newSliding(n int) (*wavelet.Sliding, error) {
+	b := ws.bands
+	return wavelet.NewSliding(n, ws.cfg.Level, b.deepest, b.next, b.renyi)
 }
 
 // decompose pads w to a power of two and decomposes it to level into d,
@@ -90,39 +111,57 @@ func (ws *Workspace) decompose(d *wavelet.Decomposition, w []float64, level int)
 
 // Features10Into appends the paper's 10 features for one aligned pair
 // of channel windows to dst and returns the extended slice. With
-// cap(dst) >= len(dst)+10 it allocates nothing.
+// cap(dst) >= len(dst)+10 it allocates nothing after its first call.
 func (ws *Workspace) Features10Into(dst []float64, w0, w1 []float64) ([]float64, error) {
-	cfg := ws.cfg
+	return ws.features10(dst, w0, w1, nil, 0)
+}
+
+// features10 is Features10Into with w1's decomposition slid into dwt,
+// hop samples after the window dwt holds (see wavelet.Slide). A nil dwt
+// decomposes w1 in full into the workspace's own.
+func (ws *Workspace) features10(dst, w0, w1 []float64, dwt *wavelet.Sliding, hop int) ([]float64, error) {
+	cfg, b := ws.cfg, ws.bands
 	if err := ws.spec.PeriodogramInto(&ws.psd0, w0); err != nil {
 		return nil, err
 	}
 	if err := ws.spec.PeriodogramInto(&ws.psd1, w1); err != nil {
 		return nil, err
 	}
-	if err := ws.decompose(&ws.dec, w1, cfg.Level); err != nil {
+	x := ws.wl.PadPow2(w1)
+	if dwt == nil {
+		if ws.dwt == nil {
+			d, err := ws.newSliding(len(x))
+			if err != nil {
+				return nil, fmt.Errorf("features: window of %d samples cannot reach DWT level %d", len(x), cfg.Level)
+			}
+			ws.dwt = d
+		}
+		dwt, hop = ws.dwt, 0
+	}
+	if err := ws.wl.Slide(dwt, x, hop); err != nil {
 		return nil, err
 	}
-	pe5L7, err := ws.ent.Permutation(ws.dec.Detail(cfg.Level), 5)
+	pe5L7, err := ws.ent.Permutation(dwt.Detail(b.deepest), 5)
 	if err != nil {
 		return nil, err
 	}
-	pe7L7, err := ws.ent.Permutation(ws.dec.Detail(cfg.Level), 7)
+	pe7L7, err := ws.ent.Permutation(dwt.Detail(b.deepest), 7)
 	if err != nil {
 		return nil, err
 	}
-	pe7L6, err := ws.ent.Permutation(ws.dec.Detail(cfg.Level-1), 7)
+	pe7L6, err := ws.ent.Permutation(dwt.Detail(b.next), 7)
 	if err != nil {
 		return nil, err
 	}
-	renyiL3, err := ws.ent.RenyiSignal(ws.dec.Detail(3), cfg.RenyiAlpha, cfg.RenyiBins)
+	renyiL3, err := ws.ent.RenyiSignal(dwt.Detail(b.renyi), cfg.RenyiAlpha, cfg.RenyiBins)
 	if err != nil {
 		return nil, err
 	}
-	se02, err := ws.ent.SampleK(ws.dec.Detail(cfg.Level-1), cfg.SampleM, 0.2)
+	se02, err := ws.ent.SampleK(dwt.Detail(b.next), cfg.SampleM, 0.2)
 	if err != nil {
 		return nil, err
 	}
-	se035, err := ws.ent.SampleK(ws.dec.Detail(cfg.Level-1), cfg.SampleM, 0.35)
+	se035, err := ws.ent.SampleK(dwt.Detail(b.next), cfg.SampleM, 0.35)
 	if err != nil {
 		return nil, err
 	}

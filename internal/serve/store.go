@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/url"
 	"os"
@@ -44,10 +43,11 @@ type ModelStore interface {
 // rename), so a crash mid-checkpoint leaves the previous one intact.
 //
 // Versioned checkpoints carry the model version as an extra
-// "model_version" field in the JSON header, alongside the forest
+// "model_version" field, the JSON object's first, alongside the forest
 // fields. Forest loaders ignore unknown fields, so a versioned
-// checkpoint still loads in every pointer-forest tool; a pre-versioning
-// checkpoint (no header field) loads here as version 0.
+// checkpoint still loads in every pointer-forest tool; a checkpoint
+// that does not open with the field (pre-versioning) loads here as
+// version 0.
 type FileStore struct {
 	dir string
 }
@@ -94,12 +94,6 @@ func (s *FileStore) quarantine(path string) {
 	os.Remove(path)
 }
 
-// checkpointHeader is the version envelope read off a checkpoint before
-// the forest itself is parsed. Absent on pre-versioning checkpoints.
-type checkpointHeader struct {
-	Version uint64 `json:"model_version"`
-}
-
 // LoadVersion implements ModelStore; a missing checkpoint is
 // (nil, 0, nil). A checkpoint that fails to parse — truncated by a
 // crash predating atomic writes, or corrupted on disk — is quarantined
@@ -130,19 +124,17 @@ func (s *FileStore) LoadVersion(patientID string) (*forest.FlatForest, uint64, e
 		s.quarantine(path)
 		return nil, salvageVersion(data), fmt.Errorf("serve: model store: corrupt checkpoint for %q (quarantined): %w", patientID, err)
 	}
-	var hdr checkpointHeader
-	// A checkpoint the forest loader accepted is well-formed JSON; a
-	// missing model_version field simply leaves the version at 0
-	// (pre-versioning checkpoint).
-	_ = json.Unmarshal(data, &hdr)
-	return f, hdr.Version, nil
+	return f, salvageVersion(data), nil
 }
 
-// salvageVersion recovers the model version from a checkpoint too
-// corrupt to parse as JSON. SaveVersion writes the header field first
-// for exactly this reason: truncation — the common corruption, a crash
-// mid-write predating atomic renames — keeps the prefix intact, so a
-// bounded byte scan still reads the version.
+// salvageVersion reads the model version off a checkpoint's prefix,
+// where SaveVersion always writes it, without parsing the rest: a
+// sound checkpoint's version costs no second pass over the forest, and
+// a checkpoint too corrupt to parse as JSON still reports its version.
+// Truncation — the common corruption, a crash mid-write predating
+// atomic renames — keeps the prefix intact. A checkpoint that does not
+// open with the field (pre-versioning, or written by anything but
+// SaveVersion) reads as version 0, wherever else it carries one.
 func salvageVersion(data []byte) uint64 {
 	const prefix = `{"model_version":`
 	if !bytes.HasPrefix(data, []byte(prefix)) {

@@ -315,6 +315,35 @@ func TestStoreVersionRoundTrip(t *testing.T) {
 	})
 }
 
+// TestLoadVersionReadsOnlyTheLeadingField pins where FileStore reads a
+// checkpoint's version: the field SaveVersion writes first. The same
+// field anywhere else in the object is not read, so such a checkpoint
+// loads as version 0 with its model intact.
+func TestLoadVersionReadsOnlyTheLeadingField(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := tinyForest(t, 1)
+	if err := fs.SaveVersion("first", f, 12); err != nil {
+		t.Fatal(err)
+	}
+	if got, v, err := fs.LoadVersion("first"); err != nil || got == nil || v != 12 {
+		t.Fatalf("leading model_version = %v, %d, %v; want model, 12, nil", got, v, err)
+	}
+	plain, err := f.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := append(plain[:len(plain)-1:len(plain)-1], `,"model_version":12}`...)
+	if err := os.WriteFile(fs.PathFor("last"), last, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, v, err := fs.LoadVersion("last"); err != nil || got == nil || v != 0 {
+		t.Fatalf("trailing model_version = %v, %d, %v; want model, 0, nil", got, v, err)
+	}
+}
+
 // TestPublishContinuesPersistedVersions: the version sequence must
 // survive both LRU eviction and a process restart — a publish that
 // regressed the version would make every replica holder refuse the
