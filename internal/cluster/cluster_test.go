@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"selflearn/internal/features"
 	"selflearn/internal/rt"
 	"selflearn/internal/serve"
 	"selflearn/internal/serve/servetest"
@@ -834,6 +835,69 @@ func TestShardServerSurvivesClientChurn(t *testing.T) {
 			t.Fatalf("shard stopped serving after client churn: %+v", ts.srv.Snapshot())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestShardSurvivesMalformedModelPut: a ModelPut is decoded on the
+// connection's goroutine, so a checkpoint that panicked the decoder
+// killed the whole shard. Each one here — a null tree, trees of two
+// widths, a tree whose splits share one child — and a well-formed model
+// of the wrong width must be dropped, with the shard still answering
+// on the same connection.
+func TestShardSurvivesMalformedModelPut(t *testing.T) {
+	ts := startShard(t, "127.0.0.1:0")
+	defer ts.stop()
+	stump := func(width, feature int) string {
+		return fmt.Sprintf(`{"num_features":%d,"nodes":[{"leaf":false,"feature":%d,"threshold":0.5,"left":1,"right":2},{"leaf":true},{"leaf":true,"prob":1}]}`, width, feature)
+	}
+	var shared strings.Builder
+	shared.WriteString(`{"trees":[{"num_features":1,"nodes":[`)
+	for i := 1; i <= 20; i++ {
+		fmt.Fprintf(&shared, `{"leaf":false,"feature":0,"threshold":0.5,"left":%d,"right":%d},`, i, i)
+	}
+	shared.WriteString(`{"leaf":true,"prob":1}]}],"oob_error":0}`)
+	width := len(features.PaperFeatureNames())
+	checkpoints := map[string]string{
+		"null-tree":       `{"trees":[null],"oob_error":0}`,
+		"mixed-widths":    `{"trees":[` + stump(2, 1) + `,` + stump(20, 15) + `],"oob_error":0}`,
+		"shared-children": shared.String(),
+		"too-wide":        `{"trees":[` + stump(width+1, width) + `],"oob_error":0}`,
+	}
+
+	conn, err := net.Dial("tcp", ts.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	enc, dec := wire.NewEncoder(conn), wire.NewDecoder(conn)
+	if err := enc.Hello(); err != nil {
+		t.Fatal(err)
+	}
+	for patient, data := range checkpoints {
+		if err := enc.ModelPut(0, patient, 1, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.StatsReq(7); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		m, err := dec.Next()
+		if err != nil {
+			t.Fatalf("shard hung up after the ModelPuts: %v", err)
+		}
+		if m.Kind == wire.KindStats && m.Token == 7 {
+			break
+		}
+	}
+	for patient := range checkpoints {
+		if f, v := ts.srv.ModelVersioned(patient); f != nil {
+			t.Errorf("%s: the shard installed the checkpoint as v%d", patient, v)
+		}
 	}
 }
 

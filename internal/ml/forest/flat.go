@@ -1,10 +1,6 @@
 package forest
 
 import (
-	"encoding/json"
-	"errors"
-	"io"
-	"math"
 	"runtime"
 	"sync"
 
@@ -56,6 +52,10 @@ func (f *Forest) Flatten() *FlatForest {
 	ff.quant = quantizeForest(ff)
 	return ff
 }
+
+// NumFeatures returns the width of the rows the forest classifies: a
+// row must hold at least this many features.
+func (ff *FlatForest) NumFeatures() int { return ff.nFeatures }
 
 // Quant returns the int16-quantized companion forest, or nil when the
 // model did not quantize (code-space overflow, or the learner dropped
@@ -288,70 +288,4 @@ func (ff *FlatForest) parallelVotes(votes []int32, X [][]float64, procs int) {
 			votes[i] += v
 		}
 	}
-}
-
-// MarshalJSON encodes the flat forest in the exact interchange format of
-// Forest.MarshalJSON (preorder node arrays per tree), so checkpoints
-// written from either representation load into either.
-func (ff *FlatForest) MarshalJSON() ([]byte, error) {
-	if len(ff.roots) == 0 {
-		return nil, errors.New("forest: empty forest")
-	}
-	type nodeDTO struct {
-		Leaf      bool    `json:"leaf"`
-		Positive  bool    `json:"positive,omitempty"`
-		Prob      float64 `json:"prob,omitempty"`
-		Feature   int     `json:"feature,omitempty"`
-		Threshold float64 `json:"threshold,omitempty"`
-		Left      int     `json:"left,omitempty"`
-		Right     int     `json:"right,omitempty"`
-	}
-	type treeDTO struct {
-		NumFeatures int       `json:"num_features"`
-		Nodes       []nodeDTO `json:"nodes"`
-	}
-	oob := ff.oob
-	if math.IsNaN(oob) {
-		oob = -1
-	}
-	dto := struct {
-		Trees    []treeDTO `json:"trees"`
-		OOBError float64   `json:"oob_error"`
-	}{OOBError: oob}
-	for t := range ff.roots {
-		base := int(ff.roots[t])
-		end := len(ff.nodes)
-		if t+1 < len(ff.roots) {
-			end = int(ff.roots[t+1])
-		}
-		td := treeDTO{NumFeatures: ff.nFeatures, Nodes: make([]nodeDTO, 0, end-base)}
-		for i := base; i < end; i++ {
-			n := ff.nodes[i]
-			if n.Feature < 0 {
-				td.Nodes = append(td.Nodes, nodeDTO{
-					Leaf: true, Positive: n.Value >= 0.5, Prob: n.Value,
-				})
-				continue
-			}
-			td.Nodes = append(td.Nodes, nodeDTO{
-				Feature:   int(n.Feature),
-				Threshold: n.Value,
-				Left:      i - base + 1,
-				Right:     int(n.Right) - base,
-			})
-		}
-		dto.Trees = append(dto.Trees, td)
-	}
-	return json.Marshal(dto)
-}
-
-// LoadFlat reads a forest checkpoint (written by Forest.Save or
-// FlatForest.MarshalJSON) directly into the flat representation,
-// reusing the pointer loader's link validation.
-func LoadFlat(r io.Reader) (*FlatForest, error) {
-	f, err := Load(r)
-	if err != nil {
-		return nil, err
-	}
-	return f.Flatten(), nil
 }

@@ -3,6 +3,7 @@ package forest
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 
@@ -28,7 +29,8 @@ func (f *Forest) MarshalJSON() ([]byte, error) {
 	return json.Marshal(forestDTO{Trees: f.trees, OOBError: oob})
 }
 
-// UnmarshalJSON decodes a forest produced by MarshalJSON.
+// UnmarshalJSON decodes a forest produced by MarshalJSON. A null tree,
+// and a tree whose width differs from the first tree's, are errors.
 func (f *Forest) UnmarshalJSON(data []byte) error {
 	var dto forestDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
@@ -36,6 +38,14 @@ func (f *Forest) UnmarshalJSON(data []byte) error {
 	}
 	if len(dto.Trees) == 0 {
 		return errors.New("forest: no trees")
+	}
+	for i, t := range dto.Trees {
+		if t == nil {
+			return fmt.Errorf("forest: tree %d is null", i)
+		}
+		if nf := dto.Trees[0].NumFeatures(); t.NumFeatures() != nf {
+			return fmt.Errorf("forest: tree %d reads %d features, tree 0 reads %d", i, t.NumFeatures(), nf)
+		}
 	}
 	f.trees = dto.Trees
 	f.oob = dto.OOBError

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
 	"selflearn/internal/ml/forest"
@@ -96,9 +97,15 @@ type modelEntry struct {
 // when strictly newer than everything seen. The versions table never
 // evicts; it holds one uint64 per patient ever trained this process,
 // which is what makes monotonicity cheap off the store path.
+//
+// Every model the cache holds reads rows of width features, the
+// server's feature row: a model of any other width would index past the
+// row or misread it. Learner publishes always match; a stored
+// checkpoint or an installed replica of another width is refused.
 type modelCache struct {
 	mu       sync.Mutex
 	t        *lru[modelEntry]
+	width    int
 	versions map[string]uint64 // highest version seen per patient
 	store    ModelStore
 	// saveMu serializes store writes, which lets saveVersion order them
@@ -111,9 +118,10 @@ type modelCache struct {
 	onErr func(error)
 }
 
-func newModelCache(capacity int, store ModelStore, onErr func(error)) *modelCache {
+func newModelCache(capacity, width int, store ModelStore, onErr func(error)) *modelCache {
 	return &modelCache{
 		t:        newLRU[modelEntry](capacity, nil),
+		width:    width,
 		versions: make(map[string]uint64),
 		store:    store,
 		onErr:    onErr,
@@ -129,7 +137,8 @@ func (m *modelCache) Get(patient string) *forest.FlatForest {
 
 // GetVersioned returns the patient's model and its version, reading
 // through to the store on an LRU miss. A pre-versioning checkpoint
-// reports version 0.
+// reports version 0. A stored checkpoint of the wrong width is a store
+// error, like a corrupt one: the patient streams untrained.
 func (m *modelCache) GetVersioned(patient string) (*forest.FlatForest, uint64) {
 	m.mu.Lock()
 	if e, ok := m.t.Get(patient); ok {
@@ -141,6 +150,10 @@ func (m *modelCache) GetVersioned(patient string) (*forest.FlatForest, uint64) {
 		return nil, 0
 	}
 	f, v, err := m.store.LoadVersion(patient)
+	if err == nil && f != nil && f.NumFeatures() != m.width {
+		err = fmt.Errorf("serve: model store: checkpoint for %q reads %d features, the server extracts %d",
+			patient, f.NumFeatures(), m.width)
+	}
 	if err != nil {
 		if m.onErr != nil {
 			m.onErr(err)
@@ -236,9 +249,9 @@ func (m *modelCache) Publish(patient string, f *forest.FlatForest) uint64 {
 // pushed by a peer shard, or a checkpoint transferred by a router
 // during failover. Only a version strictly newer than everything seen
 // (in cache, table, or store) installs; anything else is a stale
-// duplicate and reports false.
+// duplicate and reports false, as does a model of the wrong width.
 func (m *modelCache) Install(patient string, f *forest.FlatForest, version uint64) bool {
-	if f == nil || version == 0 {
+	if f == nil || version == 0 || f.NumFeatures() != m.width {
 		return false
 	}
 	cur := m.currentVersion(patient)

@@ -58,7 +58,7 @@ func TestLRUZeroCapacityNeverEvicts(t *testing.T) {
 func TestModelCacheRoundTrip(t *testing.T) {
 	// Store-less cache: pure LRU semantics (store behavior is covered in
 	// store_test.go).
-	mc := newModelCache(4, nil, nil)
+	mc := newModelCache(4, 2, nil, nil)
 	if got := mc.Get("p1"); got != nil {
 		t.Fatalf("Get on empty cache = %v, want nil", got)
 	}

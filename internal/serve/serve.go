@@ -317,7 +317,8 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 	if historyRows < 1 {
 		return nil, fmt.Errorf("serve: history %v shorter than one hop", cfg.History)
 	}
-	if err := preflight(cfg); err != nil {
+	width, err := preflight(cfg)
+	if err != nil {
 		return nil, err
 	}
 	so := defaultServerOptions()
@@ -331,7 +332,7 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, in: NewIntake(so.admission), quality: so.quality}
 	s.hub = newEventHub(so.eventBuffer, so.sink)
-	s.cache = newModelCache(cfg.ModelCacheSize, so.store, func(error) { s.storeErrors.Add(1) })
+	s.cache = newModelCache(cfg.ModelCacheSize, width, so.store, func(error) { s.storeErrors.Add(1) })
 	s.learner = newLearner(s, cfg.Learners, cfg.LearnerQueue)
 	t, err := newLocalTransport(s, historyRows)
 	if err != nil {
@@ -345,20 +346,22 @@ func New(cfg Config, opts ...Option) (*Server, error) {
 // preflight extracts one feature window through a throwaway streamer so
 // configurations whose failure only surfaces at window boundaries (e.g.
 // a sample rate too low for the level-7 DWT) are rejected at
-// construction instead of silently erroring on every live batch.
-func preflight(cfg Config) error {
+// construction instead of silently erroring on every live batch. It
+// returns the width of the streamer's rows, which every model the
+// server serves must read.
+func preflight(cfg Config) (int, error) {
 	st, err := features.NewStreamer(cfg.SampleRate, cfg.FeatureCfg)
 	if err != nil {
-		return fmt.Errorf("serve: %w", err)
+		return 0, fmt.Errorf("serve: %w", err)
 	}
 	win := cfg.FeatureCfg.Window.SamplesPerWindow(cfg.SampleRate)
 	for i := 0; i <= win; i++ {
 		v := math.Sin(2 * math.Pi * 7 * float64(i) / cfg.SampleRate)
 		if _, _, err := st.Push(v, v); err != nil {
-			return fmt.Errorf("serve: feature pipeline rejects this configuration: %w", err)
+			return 0, fmt.Errorf("serve: feature pipeline rejects this configuration: %w", err)
 		}
 	}
-	return nil
+	return st.NumFeatures(), nil
 }
 
 // shardHash is FNV-1a inlined: the stdlib hash/fnv constructor

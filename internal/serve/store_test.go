@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"selflearn/internal/features"
 	"selflearn/internal/ml/forest"
 )
 
@@ -354,7 +355,7 @@ func TestPublishContinuesPersistedVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := newModelCache(1, fs, func(err error) { t.Fatalf("store error: %v", err) })
+	mc := newModelCache(1, 2, fs, func(err error) { t.Fatalf("store error: %v", err) })
 	f := tinyForest(t, 1)
 	if v := mc.Publish("p1", f); v != 1 {
 		t.Fatalf("first publish = v%d, want 1", v)
@@ -373,7 +374,7 @@ func TestPublishContinuesPersistedVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc2 := newModelCache(4, fs2, func(err error) { t.Fatalf("store error: %v", err) })
+	mc2 := newModelCache(4, 2, fs2, func(err error) { t.Fatalf("store error: %v", err) })
 	if _, v := mc2.GetVersioned("p1"); v != 3 {
 		t.Fatalf("version after restart = %d, want 3", v)
 	}
@@ -411,7 +412,7 @@ func TestCorruptCheckpointKeepsVersionSequence(t *testing.T) {
 	// must salvage the version while quarantining the model, so the next
 	// publish continues the sequence.
 	var storeErrs int
-	mc := newModelCache(4, fs, func(error) { storeErrs++ })
+	mc := newModelCache(4, 2, fs, func(error) { storeErrs++ })
 	if got := mc.Publish("p", tinyForest(t, 2)); got != 6 {
 		t.Fatalf("publish after corruption = v%d, want 6 (sequence must not regress)", got)
 	}
@@ -469,12 +470,67 @@ func TestServerServesPatientDespiteCorruptCheckpoint(t *testing.T) {
 	}
 }
 
+// wideForest trains a forest on rows one feature wider than the
+// server's, whose splits read the extra last column.
+func wideForest(t testing.TB) *forest.FlatForest {
+	t.Helper()
+	nf := len(features.PaperFeatureNames()) + 1
+	X := make([][]float64, 40)
+	y := make([]bool, len(X))
+	for i := range X {
+		X[i] = make([]float64, nf)
+		X[i][nf-1] = float64(i)
+		y[i] = i >= len(X)/2
+	}
+	f, err := forest.Train(X, y, forest.Config{NumTrees: 3, MinLeaf: 1, FeatureSubset: nf, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Flatten()
+}
+
+// TestWrongWidthModelStreamsUntrained: a model whose rows are wider
+// than the server's feature row would index past every row it scores.
+// From the store it is a store error and the patient streams untrained,
+// as with a corrupt checkpoint; as an install it is refused.
+func TestWrongWidthModelStreamsUntrained(t *testing.T) {
+	fs, err := NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := wideForest(t)
+	if err := fs.SaveVersion("chb01", wide, 3); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Workers: 1, SampleRate: testRate, History: time.Minute}, WithModelStore(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := open(t, srv, "chb01")
+	stream(t, h, testRecording(t, 8, 60, 20, 20))
+	if srv.InstallModel("chb02", wide, 1) {
+		t.Fatal("InstallModel accepted a model of the wrong width")
+	}
+	if m, _ := srv.ModelVersioned("chb02"); m != nil {
+		t.Fatal("a refused install is served")
+	}
+	srv.Close()
+	st := srv.Snapshot()
+	if st.Windows == 0 || st.StreamErrors != 0 || st.Alarms != 0 {
+		t.Fatalf("patient did not stream untrained past the wide checkpoint: %+v", st)
+	}
+	if st.StoreErrors != 1 {
+		t.Fatalf("StoreErrors = %d, want 1, from the session's warm start", st.StoreErrors)
+	}
+}
+
 func TestStoreBehindCacheSurvivesEviction(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc := newModelCache(1, fs, func(err error) { t.Fatalf("store error: %v", err) })
+	mc := newModelCache(1, 2, fs, func(err error) { t.Fatalf("store error: %v", err) })
 	f1, f2 := tinyForest(t, 1), tinyForest(t, 2)
 	v1 := mc.Publish("p1", f1)
 	mc.Publish("p2", f2) // evicts p1 from the one-slot LRU
