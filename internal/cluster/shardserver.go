@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -294,7 +293,7 @@ func (c *clientConn) handle() {
 			// A payload that fails to parse is dropped — one bad frame
 			// must cost the replica, not the connection's live streams.
 			if m.ModelVersion > 0 && len(m.Model) > 0 {
-				if f, err := forest.LoadFlat(bytes.NewReader(m.Model)); err == nil {
+				if f, err := forest.LoadFlat(m.Model); err == nil {
 					c.s.srv.InstallModel(m.Patient, f, m.ModelVersion)
 				}
 			}

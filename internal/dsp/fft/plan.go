@@ -182,38 +182,56 @@ func NewRealPlan(n int) (*RealPlan, error) {
 	return p, nil
 }
 
+// minAVX2 is the shortest real transform the AVX2 kernels take, and
+// the shortest FuzzPowerSpectrumMatchesGo holds them to the Go path on.
+const minAVX2 = 16
+
 // PowerSpectrumInto writes the squared DFT magnitudes |X[k]|² of the
-// real signal xs into dst for k = 0..n/2 and returns dst[:n/2+1].
-// len(xs) must equal the planned length and cap(dst) must be at least
-// n/2+1. It allocates nothing.
+// real signal xs·taper, zero-padded to the planned length, into dst for
+// k = 0..n/2 and returns dst[:n/2+1]. len(taper) must equal len(xs),
+// which must lie in 1..n, and cap(dst) must be at least n/2+1. It
+// allocates nothing.
+//
+// This is the one dispatch point between the two paths: the AVX2
+// kernels when the CPU has them and the transform is long enough, the
+// Go code otherwise. Both give the same bits (FuzzPowerSpectrumMatchesGo).
 //
 //selflearn:hotpath
-func (p *RealPlan) PowerSpectrumInto(dst []float64, xs []float64) ([]float64, error) {
+func (p *RealPlan) PowerSpectrumInto(dst, xs, taper []float64) ([]float64, error) {
 	n := p.n
-	if len(xs) != n {
-		return nil, fmt.Errorf("fft: real plan sized for %d points, got %d", n, len(xs))
+	if len(xs) == 0 || len(xs) > n || len(taper) != len(xs) {
+		return nil, fmt.Errorf("fft: real plan sized for %d points, got %d samples and %d taper weights", n, len(xs), len(taper))
 	}
-	m := n / 2
+	dst = dst[:n/2+1]
+	if useAVX2 && n >= minAVX2 {
+		p.powerAVX2(dst, xs, taper)
+	} else {
+		p.powerGo(dst, xs, taper)
+	}
+	return dst, nil
+}
+
+// powerGo is the pure-Go power spectrum: the only path on CPUs without
+// AVX2 and the reference every kernel is fuzzed against.
+//
+//selflearn:hotpath
+func (p *RealPlan) powerGo(dst, xs, taper []float64) {
+	p.pack(0, xs, taper)
+	p.half.butterflies(p.z)
+	p.edges(dst)
+	p.unpack(dst)
+}
+
+// unpack writes bins 1..m−1 from the transformed half-length buffer:
+// X[k] = E[k] + w[k]·O[k] with E[k] = (Z[k]+conj(Z[m−k]))/2,
+// O[k] = (Z[k]−conj(Z[m−k]))/(2i). The twiddle table covers k ≤ n/4;
+// the mirror bin m−k reuses w[k] via the conjugate-symmetry of the
+// unpack, so each loop iteration finishes two bins.
+//
+//selflearn:hotpath
+func (p *RealPlan) unpack(dst []float64) {
+	m := p.n / 2
 	z := p.z
-	// Pack adjacent sample pairs straight into bit-reversed positions,
-	// so the transform skips its permutation pass entirely.
-	rev := p.half.rev
-	z[0] = complex(xs[0], xs[1])
-	for i := 1; i < m; i++ {
-		z[rev[i]] = complex(xs[2*i], xs[2*i+1])
-	}
-	p.half.butterflies(z)
-	dst = dst[:m+1]
-	// DC and Nyquist bins are real-valued combinations of Z[0].
-	re0, im0 := real(z[0]), imag(z[0])
-	dc := re0 + im0
-	ny := re0 - im0
-	dst[0] = dc * dc
-	dst[m] = ny * ny
-	// Unpack X[k] = E[k] + w[k]·O[k] with E[k] = (Z[k]+conj(Z[m−k]))/2,
-	// O[k] = (Z[k]−conj(Z[m−k]))/(2i). The twiddle table covers k ≤ n/4;
-	// the mirror bin m−k reuses w[k] via the conjugate-symmetry of the
-	// unpack, so each loop iteration finishes two bins.
 	for k := 1; k <= m/2; k++ {
 		zk, zmk := z[k], z[m-k]
 		erE := 0.5 * (real(zk) + real(zmk))
@@ -238,5 +256,36 @@ func (p *RealPlan) PowerSpectrumInto(dst []float64, xs []float64) ([]float64, er
 			dst[m-k] = yr*yr + yi*yi
 		}
 	}
-	return dst, nil
+}
+
+// pack writes the tapered sample pairs from pair i on straight into
+// their bit-reversed positions of the half-length buffer, so the
+// transform skips its permutation pass; pairs past the end of xs are
+// zeros.
+//
+//selflearn:hotpath
+func (p *RealPlan) pack(i int, xs, taper []float64) {
+	z, rev := p.z, p.half.rev
+	for ; 2*i+1 < len(xs); i++ {
+		z[rev[i]] = complex(xs[2*i]*taper[2*i], xs[2*i+1]*taper[2*i+1])
+	}
+	if 2*i < len(xs) {
+		z[rev[i]] = complex(xs[2*i]*taper[2*i], 0)
+		i++
+	}
+	for ; i < len(z); i++ {
+		z[rev[i]] = 0
+	}
+}
+
+// edges writes the DC and Nyquist bins, real-valued combinations of the
+// transformed Z[0].
+//
+//selflearn:hotpath
+func (p *RealPlan) edges(dst []float64) {
+	re0, im0 := real(p.z[0]), imag(p.z[0])
+	dc := re0 + im0
+	ny := re0 - im0
+	dst[0] = dc * dc
+	dst[p.n/2] = ny * ny
 }

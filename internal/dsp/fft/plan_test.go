@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"selflearn/internal/dsp/window"
 )
 
 func TestPlanMatchesForward(t *testing.T) {
@@ -46,36 +48,44 @@ func TestPlanRejectsBadLength(t *testing.T) {
 	}
 }
 
+// TestRealPlanPowerSpectrum checks the power spectrum against the full
+// complex transform of the tapered, zero-padded signal, for inputs of
+// the planned length and shorter ones.
 func TestRealPlanPowerSpectrum(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{2, 4, 8, 128, 512, 1024} {
+	for _, n := range []int{2, 4, 8, 16, 128, 512, 1024} {
 		rp, err := NewRealPlan(n)
 		if err != nil {
 			t.Fatalf("NewRealPlan(%d): %v", n, err)
 		}
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		full := make([]complex128, n)
-		for i, v := range xs {
-			full[i] = complex(v, 0)
-		}
-		if err := Forward(full); err != nil {
-			t.Fatal(err)
-		}
-		dst := make([]float64, n/2+1)
-		got, err := rp.PowerSpectrumInto(dst, xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != n/2+1 {
-			t.Fatalf("n=%d: got %d bins", n, len(got))
-		}
-		for k := 0; k <= n/2; k++ {
-			want := real(full[k])*real(full[k]) + imag(full[k])*imag(full[k])
-			if d := math.Abs(got[k] - want); d > 1e-8*(1+want)*float64(n) {
-				t.Fatalf("n=%d bin %d: got %g want %g", n, k, got[k], want)
+		for _, l := range []int{n, n - n/4 - 1} {
+			if l < 1 {
+				continue
+			}
+			xs := make([]float64, l)
+			taper := make([]float64, l)
+			full := make([]complex128, n)
+			for i := range xs {
+				xs[i] = rng.NormFloat64()
+				taper[i] = rng.Float64()
+				full[i] = complex(xs[i]*taper[i], 0)
+			}
+			if err := Forward(full); err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]float64, n/2+1)
+			got, err := rp.PowerSpectrumInto(dst, xs, taper)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != n/2+1 {
+				t.Fatalf("n=%d: got %d bins", n, len(got))
+			}
+			for k := 0; k <= n/2; k++ {
+				want := real(full[k])*real(full[k]) + imag(full[k])*imag(full[k])
+				if d := math.Abs(got[k] - want); d > 1e-8*(1+want)*float64(n) {
+					t.Fatalf("n=%d len %d bin %d: got %g want %g", n, l, k, got[k], want)
+				}
 			}
 		}
 	}
@@ -92,8 +102,11 @@ func TestRealPlanRejectsBadLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rp.PowerSpectrumInto(make([]float64, 5), make([]float64, 4)); err == nil {
-		t.Fatal("PowerSpectrumInto with wrong length should fail")
+	dst := make([]float64, 5)
+	for _, c := range []struct{ xs, taper int }{{0, 0}, {9, 9}, {8, 7}, {4, 8}} {
+		if _, err := rp.PowerSpectrumInto(dst, make([]float64, c.xs), make([]float64, c.taper)); err == nil {
+			t.Fatalf("PowerSpectrumInto took %d samples and %d taper weights", c.xs, c.taper)
+		}
 	}
 }
 
@@ -114,16 +127,35 @@ func BenchmarkPlanForward1024(b *testing.B) {
 	}
 }
 
-func BenchmarkRealPlanPower1024(b *testing.B) {
-	rp, _ := NewRealPlan(1024)
-	xs := make([]float64, 1024)
+// benchInput is the benchmarks' signal of n samples and its Hann taper.
+func benchInput(n int) (xs, taper []float64) {
+	xs = make([]float64, n)
 	for i := range xs {
 		xs[i] = float64(i % 17)
 	}
-	dst := make([]float64, 1024/2+1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = rp.PowerSpectrumInto(dst, xs)
-	}
+	return xs, window.Coefficients(window.Hann, n)
+}
+
+// BenchmarkRealPlanPower1024 times one Hann-tapered 1,024-point power
+// spectrum on each path.
+func BenchmarkRealPlanPower1024(b *testing.B) {
+	const n = 1024
+	rp, _ := NewRealPlan(n)
+	xs, taper := benchInput(n)
+	dst := make([]float64, n/2+1)
+	b.Run("go", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rp.powerGo(dst, xs, taper)
+		}
+	})
+	b.Run("avx2", func(b *testing.B) {
+		if !useAVX2 {
+			b.Skip("the CPU has no AVX2")
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rp.powerAVX2(dst, xs, taper)
+		}
+	})
 }

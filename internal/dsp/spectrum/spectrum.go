@@ -150,19 +150,18 @@ func (p *PSD) RelativeBandPower(b Band) float64 {
 }
 
 // Workspace owns the reusable state of periodogram estimation at one
-// fixed signal length: the memoized taper table, its power correction,
-// and the FFT buffer. PeriodogramInto then estimates a PSD with zero
-// steady-state allocations. A Workspace is not safe for concurrent use:
-// one per goroutine; a serving worker's sessions share one.
+// fixed signal length: the memoized taper table, the power scale and
+// the real-FFT plan, which tapers and zero-pads the signal as it packs
+// it. PeriodogramInto then estimates a PSD with zero steady-state
+// allocations. A Workspace is not safe for concurrent use: one per
+// goroutine; a serving worker's sessions share one.
 type Workspace struct {
 	n      int
 	fs     float64
 	coeffs []float64 // shared read-only taper table (window.Cached)
-	wp     float64   // taper power correction
 	rp     *fft.RealPlan
-	rbuf   []float64 // tapered, zero-padded real input
 	scale  float64
-	half   int
+	nfft   int
 }
 
 // NewWorkspace builds a periodogram workspace for signals of exactly n
@@ -183,13 +182,11 @@ func NewWorkspace(n int, fs float64, taper window.Func) (*Workspace, error) {
 		n:      n,
 		fs:     fs,
 		coeffs: window.Cached(taper, n),
-		wp:     wp,
-		rbuf:   make([]float64, nfft),
 		// One-sided PSD with taper power correction. The denominator
 		// uses the original (pre-padding) length so that total power
 		// matches the time-domain mean square of the tapered signal.
 		scale: 1 / (fs * float64(n) * wp),
-		half:  nfft/2 + 1,
+		nfft:  nfft,
 	}
 	if nfft >= 2 {
 		rp, err := fft.NewRealPlan(nfft)
@@ -209,29 +206,25 @@ func (ws *Workspace) PeriodogramInto(dst *PSD, xs []float64) error {
 	if len(xs) != ws.n {
 		return fmt.Errorf("spectrum: workspace sized for %d samples, got %d", ws.n, len(xs))
 	}
-	if cap(dst.Power) < ws.half {
-		dst.Power = make([]float64, ws.half)
+	nfft := ws.nfft
+	half := nfft/2 + 1
+	if cap(dst.Power) < half {
+		dst.Power = make([]float64, half)
 	}
-	dst.Power = dst.Power[:ws.half]
-	nfft := len(ws.rbuf)
-	for i, v := range xs {
-		ws.rbuf[i] = v * ws.coeffs[i]
-	}
-	for i := ws.n; i < nfft; i++ {
-		ws.rbuf[i] = 0
-	}
+	dst.Power = dst.Power[:half]
 	if ws.rp != nil {
-		// |X[k]|² straight into the PSD bins, via the half-size
-		// real-input transform.
-		if _, err := ws.rp.PowerSpectrumInto(dst.Power, ws.rbuf); err != nil {
+		// |X[k]|² of the tapered, zero-padded signal straight into the
+		// PSD bins, via the half-size real-input transform.
+		if _, err := ws.rp.PowerSpectrumInto(dst.Power, xs, ws.coeffs); err != nil {
 			return err
 		}
 	} else {
 		// nfft == 1: the single bin is the (tapered) sample itself.
-		dst.Power[0] = ws.rbuf[0] * ws.rbuf[0]
+		v := xs[0] * ws.coeffs[0]
+		dst.Power[0] = v * v
 	}
 	var total float64
-	for k := 0; k < ws.half; k++ {
+	for k := 0; k < half; k++ {
 		p := dst.Power[k] * ws.scale
 		if k != 0 && k != nfft/2 {
 			p *= 2 // fold negative frequencies

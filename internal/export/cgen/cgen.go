@@ -9,6 +9,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
 
 	"selflearn/internal/ml/forest"
@@ -97,7 +99,7 @@ func (s *ForestSpec) WriteC(w io.Writer, prefix string) error {
 	fmt.Fprintf(&b, "/* Generated by selflearn cgen. Do not edit. */\n")
 	fmt.Fprintf(&b, "/* %d trees, %d nodes, %d input features, %d bytes of tables. */\n",
 		len(s.Roots), len(s.Feature), s.NumFeatures, s.FlashBytes())
-	fmt.Fprintf(&b, "#include <stdint.h>\n\n")
+	fmt.Fprintf(&b, "#include <math.h>\n#include <stdint.h>\n\n")
 	fmt.Fprintf(&b, "#define %s_NUM_FEATURES %d\n", strings.ToUpper(prefix), s.NumFeatures)
 	fmt.Fprintf(&b, "#define %s_NUM_TREES %d\n\n", strings.ToUpper(prefix), len(s.Roots))
 
@@ -105,7 +107,7 @@ func (s *ForestSpec) WriteC(w io.Writer, prefix string) error {
 		return fmt.Sprintf("%d", s.Feature[i])
 	})
 	writeArray(&b, "static const float "+prefix+"_threshold[]", len(s.Threshold), func(i int) string {
-		return fmt.Sprintf("%gf", s.Threshold[i])
+		return cFloat(s.Threshold[i])
 	})
 	writeArray(&b, "static const int32_t "+prefix+"_left[]", len(s.Left), func(i int) string {
 		return fmt.Sprintf("%d", s.Left[i])
@@ -138,6 +140,27 @@ int %[1]s_predict(const float *x)
 `, prefix, strings.ToUpper(prefix))
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// cFloat writes t as a C float constant that reads back as t: the
+// shortest decimal that round-trips the float32, with ".0" added when
+// it has neither a point nor an exponent (C reads "0f" as an integer
+// with a bad suffix), and <math.h>'s INFINITY and NAN for the values a
+// decimal cannot spell.
+func cFloat(t float32) string {
+	switch v := float64(t); {
+	case math.IsInf(v, 1):
+		return "INFINITY"
+	case math.IsInf(v, -1):
+		return "-INFINITY"
+	case math.IsNaN(v):
+		return "NAN"
+	}
+	text := strconv.FormatFloat(float64(t), 'g', -1, 32)
+	if !strings.ContainsAny(text, ".e") {
+		text += ".0"
+	}
+	return text + "f"
 }
 
 func writeArray(b *strings.Builder, decl string, n int, elem func(int) string) {

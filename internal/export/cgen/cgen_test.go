@@ -2,7 +2,12 @@ package cgen
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -84,6 +89,7 @@ func TestWriteCStructure(t *testing.T) {
 	}
 	src := buf.String()
 	for _, want := range []string{
+		"#include <math.h>",
 		"#include <stdint.h>",
 		"#define SEIZ_RF_NUM_FEATURES 3",
 		"#define SEIZ_RF_NUM_TREES 15",
@@ -101,6 +107,75 @@ func TestWriteCStructure(t *testing.T) {
 	// No dangling commas before closing braces.
 	if strings.Contains(src, ",\n};") {
 		t.Error("trailing comma before array close")
+	}
+}
+
+// TestCFloat pins the threshold literals: each is a C float constant
+// that reads back as the same float32.
+func TestCFloat(t *testing.T) {
+	for _, c := range []struct {
+		t    float32
+		want string
+	}{
+		{0, "0.0f"},
+		{float32(math.Copysign(0, -1)), "-0.0f"},
+		{125, "125.0f"},
+		{-2.5, "-2.5f"},
+		{0.1, "0.1f"},
+		{1e-7, "1e-07f"},
+		{3e20, "3e+20f"},
+		{math.MaxFloat32, "3.4028235e+38f"},
+		{math.SmallestNonzeroFloat32, "1e-45f"},
+		{float32(math.Inf(1)), "INFINITY"},
+		{float32(math.Inf(-1)), "-INFINITY"},
+		{float32(math.NaN()), "NAN"},
+	} {
+		got := cFloat(c.t)
+		if got != c.want {
+			t.Errorf("cFloat(%g) = %q, want %q", c.t, got, c.want)
+			continue
+		}
+		if v, err := strconv.ParseFloat(strings.TrimSuffix(got, "f"), 32); err == nil && math.Float32bits(float32(v)) != math.Float32bits(c.t) {
+			t.Errorf("%q reads back as %g, want %g", got, v, c.t)
+		}
+	}
+}
+
+// TestWriteCCompiles builds the C written for a trained forest, and for
+// one whose thresholds include every non-finite value, with a strict
+// C99 compiler. It skips when no cc is on PATH.
+func TestWriteCCompiles(t *testing.T) {
+	cc, err := exec.LookPath("cc")
+	if err != nil {
+		t.Skip("no cc on PATH")
+	}
+	f, _, _ := trainedForest(t)
+	spec, err := Flatten(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := &ForestSpec{
+		Feature:     []int16{0, 1, -1, -1, 2, -1, -1},
+		Threshold:   []float32{float32(math.Inf(1)), float32(math.Inf(-1)), 0, 0, float32(math.NaN()), 0, 0},
+		Left:        []int32{1, 2, 1, 0, 5, 0, 1},
+		Right:       []int32{4, 3, 0, 0, 6, 0, 0},
+		Roots:       []int32{0},
+		NumFeatures: 3,
+	}
+	dir := t.TempDir()
+	for name, s := range map[string]*ForestSpec{"trained": spec, "nonfinite": odd} {
+		src := filepath.Join(dir, name+".c")
+		var buf bytes.Buffer
+		if err := s.WriteC(&buf, "seiz_rf"); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(src, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(cc, "-std=c99", "-Wall", "-Werror", "-pedantic", "-c", "-o", filepath.Join(dir, name+".o"), src).CombinedOutput()
+		if err != nil {
+			t.Errorf("%s: cc failed: %v\n%s", name, err, out)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -68,6 +67,19 @@ func (ff *FlatForest) MarshalJSON() ([]byte, error) {
 	return json.Marshal(dto)
 }
 
+// The field names of the checkpoint's three object levels, as the
+// writers emit them.
+var (
+	forestFields = []string{"trees", "oob_error"}
+	treeFields   = []string{"num_features", "nodes"}
+	nodeFields   = []string{"leaf", "positive", "prob", "feature", "threshold", "left", "right"}
+)
+
+// maxSkipDepth bounds the nesting of an unknown value, so that skipping
+// one cannot exhaust the stack, and so that what LoadFlat accepts stays
+// far inside encoding/json's own limit of 10,000.
+const maxSkipDepth = 1000
+
 // LoadFlat reads a forest checkpoint (written by Forest.Save or
 // FlatForest.MarshalJSON) straight into the flat representation. It
 // makes one pass over the bytes without reflection, writes each node
@@ -89,40 +101,10 @@ func (ff *FlatForest) MarshalJSON() ([]byte, error) {
 // read by rules no writer relies on: a field given twice (json keeps
 // the last), a key written with escapes (json decodes them) and a key
 // that matches a field only case-insensitively (json matches it).
-func LoadFlat(r io.Reader) (*FlatForest, error) {
-	data, err := readAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return decodeFlat(data)
-}
-
-// readAll reads r to its end, in one allocation when r reports its
-// length, as the bytes.Reader of both callers does.
-func readAll(r io.Reader) ([]byte, error) {
-	sized, ok := r.(interface{ Len() int })
-	if !ok {
-		return io.ReadAll(r)
-	}
-	data := make([]byte, sized.Len())
-	_, err := io.ReadFull(r, data)
-	return data, err
-}
-
-// The field names of the checkpoint's three object levels, as the
-// writers emit them.
-var (
-	forestFields = []string{"trees", "oob_error"}
-	treeFields   = []string{"num_features", "nodes"}
-	nodeFields   = []string{"leaf", "positive", "prob", "feature", "threshold", "left", "right"}
-)
-
-// maxSkipDepth bounds the nesting of an unknown value, so that skipping
-// one cannot exhaust the stack, and so that what LoadFlat accepts stays
-// far inside encoding/json's own limit of 10,000.
-const maxSkipDepth = 1000
-
-func decodeFlat(data []byte) (*FlatForest, error) {
+//
+// The forest keeps no reference into data, so the caller may reuse it,
+// as a shard reuses a ModelPut frame's buffer.
+func LoadFlat(data []byte) (*FlatForest, error) {
 	s := &scanner{data: data}
 	ff := &FlatForest{nodes: make([]tree.FlatNode, 0, nodeBound(data))}
 	var seen uint

@@ -37,8 +37,9 @@ func sameFlat(got, want *FlatForest) error {
 }
 
 // sharedChildrenTree is a forest of one tree of depth+1 nodes whose
-// splits each link both children to the next node: Load's pointer tree
-// shares every child, and Flatten expands it to 2^(depth+1)-1 nodes.
+// splits each link both children to the next node: a pointer tree built
+// as linked shares every child, and Flatten expands it to 2^(depth+1)-1
+// nodes. Both loaders refuse it.
 func sharedChildrenTree(depth int) string {
 	var b strings.Builder
 	b.WriteString(`{"trees":[{"num_features":1,"nodes":[`)
@@ -78,6 +79,10 @@ var malformed = []struct{ name, data string }{
 	{"negative feature", `{"trees":[{"num_features":2,"nodes":[{"leaf":false,"feature":-1,"left":1,"right":2},{"leaf":true},{"leaf":true}]}]}`},
 	{"missing right child", `{"trees":[{"num_features":1,"nodes":[{"leaf":false,"left":1,"right":2},{"leaf":true}]}]}`},
 	{"missing left child", `{"trees":[{"num_features":1,"nodes":[{"leaf":false,"left":1,"right":2}]}]}`},
+	{"shared children", sharedChildren},
+	{"left link skips", `{"trees":[{"num_features":1,"nodes":[{"leaf":false,"left":2,"right":1},{"leaf":true},{"leaf":true}]}]}`},
+	{"right link skips", `{"trees":[{"num_features":1,"nodes":[{"leaf":false,"left":1,"right":3},{"leaf":true},{"leaf":true},{"leaf":true}]}]}`},
+	{"unlinked node", `{"trees":[{"num_features":1,"nodes":[{"leaf":true},{"leaf":true}]}]}`},
 	{"garbage", `garbage`},
 	{"empty", ``},
 	{"truncated", `{"trees":[` + stump2},
@@ -94,13 +99,8 @@ var malformed = []struct{ name, data string }{
 }
 
 // flatOnly are checkpoints LoadFlat refuses although Load reads them:
-// trees not stored in preorder, and JSON that encoding/json resolves by
-// rules no writer relies on.
+// JSON that encoding/json resolves by rules no writer relies on.
 var flatOnly = []struct{ name, data string }{
-	{"shared children", sharedChildren},
-	{"left link skips", `{"trees":[{"num_features":1,"nodes":[{"leaf":false,"left":2,"right":1},{"leaf":true},{"leaf":true}]}]}`},
-	{"right link skips", `{"trees":[{"num_features":1,"nodes":[{"leaf":false,"left":1,"right":3},{"leaf":true},{"leaf":true},{"leaf":true}]}]}`},
-	{"unlinked node", `{"trees":[{"num_features":1,"nodes":[{"leaf":true},{"leaf":true}]}]}`},
 	{"folded key", `{"Trees":[` + stump2 + `]}`},
 	{"folded node key", `{"trees":[{"num_features":1,"nodes":[{"leaf":true,"PROB":1}]}]}`},
 	{"long s folds to s", `{"tree` + "\u017f" + `":[` + stump2 + `]}`},
@@ -117,7 +117,7 @@ var flatOnly = []struct{ name, data string }{
 func TestLoadFlatRefusesMalformed(t *testing.T) {
 	for _, tc := range malformed {
 		t.Run(tc.name, func(t *testing.T) {
-			if ff, err := LoadFlat(strings.NewReader(tc.data)); err == nil {
+			if ff, err := LoadFlat([]byte(tc.data)); err == nil {
 				t.Fatalf("LoadFlat accepted it: %d nodes", len(ff.nodes))
 			}
 			if _, err := Load(strings.NewReader(tc.data)); err == nil {
@@ -127,7 +127,7 @@ func TestLoadFlatRefusesMalformed(t *testing.T) {
 	}
 	for _, tc := range flatOnly {
 		t.Run(tc.name, func(t *testing.T) {
-			if ff, err := LoadFlat(strings.NewReader(tc.data)); err == nil {
+			if ff, err := LoadFlat([]byte(tc.data)); err == nil {
 				t.Fatalf("LoadFlat accepted it: %d nodes", len(ff.nodes))
 			}
 		})
@@ -147,7 +147,7 @@ func TestLoadFlatReadsWhatLoadReads(t *testing.T) {
 		{"leaf-only tree", `{"trees":[` + stump2 + `,{"num_features":2,"nodes":[{"leaf":true,"prob":0.5}]}]}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := LoadFlat(strings.NewReader(tc.data))
+			got, err := LoadFlat([]byte(tc.data))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,13 +206,10 @@ func checkpointSeeds(t testing.TB) [][]byte {
 }
 
 // FuzzLoadFlatMatchesReference: whatever LoadFlat accepts, Load reads
-// too, and flattens to the same forest bit for bit. Load runs only on
-// input LoadFlat accepted: on what LoadFlat refuses it may panic (a
-// null tree before this decoder) or expand shared children
-// exponentially.
+// too, and flattens to the same forest bit for bit.
 func FuzzLoadFlatMatchesReference(f *testing.F) {
 	for _, seed := range checkpointSeeds(f) {
-		if _, err := LoadFlat(bytes.NewReader(seed)); err != nil {
+		if _, err := LoadFlat(seed); err != nil {
 			f.Fatalf("a written checkpoint does not load: %v\n%s", err, seed)
 		}
 		f.Add(seed)
@@ -221,7 +218,7 @@ func FuzzLoadFlatMatchesReference(f *testing.F) {
 		f.Add([]byte(data))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := LoadFlat(bytes.NewReader(data))
+		got, err := LoadFlat(data)
 		if err != nil {
 			return
 		}
@@ -253,7 +250,7 @@ func BenchmarkLoadFlat(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LoadFlat(bytes.NewReader(data)); err != nil {
+		if _, err := LoadFlat(data); err != nil {
 			b.Fatal(err)
 		}
 	}

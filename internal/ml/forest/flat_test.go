@@ -111,7 +111,7 @@ func TestFlatSerializationRoundTrip(t *testing.T) {
 	if err := json.NewEncoder(&buf).Encode(ff); err != nil {
 		t.Fatal(err)
 	}
-	ff2, err := LoadFlat(bytes.NewReader(buf.Bytes()))
+	ff2, err := LoadFlat(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFlatSerializationRoundTrip(t *testing.T) {
 	if err := f.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ff3, err := LoadFlat(bytes.NewReader(buf.Bytes()))
+	ff3, err := LoadFlat(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package forest
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -122,7 +121,7 @@ func TestQuantSurvivesCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFlat(bytes.NewReader(data))
+	loaded, err := LoadFlat(data)
 	if err != nil {
 		t.Fatal(err)
 	}

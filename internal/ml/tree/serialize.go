@@ -48,8 +48,12 @@ func (t *Tree) MarshalJSON() ([]byte, error) {
 	return json.Marshal(dto)
 }
 
-// UnmarshalJSON decodes a tree produced by MarshalJSON, validating the
-// node links.
+// UnmarshalJSON decodes a tree produced by MarshalJSON. The nodes must
+// be the tree in preorder, as MarshalJSON writes them: a split's left
+// child is the next node, its right child is the node just after its
+// left subtree, and every node is reached exactly once. So no two
+// splits share a child, and the decoded tree is never larger than its
+// input.
 func (t *Tree) UnmarshalJSON(data []byte) error {
 	var dto treeDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
@@ -65,23 +69,45 @@ func (t *Tree) UnmarshalJSON(data []byte) error {
 	for i := range nodes {
 		nodes[i] = &node{}
 	}
+	// open holds the splits whose right child has not begun, innermost
+	// last: a leaf closes a subtree, so the node after it is the
+	// innermost open split's right child.
+	var open []int
 	for i, d := range dto.Nodes {
 		if d.Leaf {
 			nodes[i].leaf = true
 			nodes[i].positive = d.Positive
 			nodes[i].prob = d.Prob
+			if i+1 == len(nodes) {
+				break
+			}
+			if len(open) == 0 {
+				return fmt.Errorf("tree: node %d is reached by no link", i+1)
+			}
+			p := open[len(open)-1]
+			open = open[:len(open)-1]
+			if r := dto.Nodes[p].Right; r != i+1 {
+				return fmt.Errorf("tree: node %d links right child %d, want %d", p, r, i+1)
+			}
+			nodes[p].right = nodes[i+1]
 			continue
 		}
-		if d.Left <= i || d.Right <= i || d.Left >= len(nodes) || d.Right >= len(nodes) {
-			return fmt.Errorf("tree: node %d has invalid child links %d/%d", i, d.Left, d.Right)
+		if i+1 == len(nodes) {
+			return fmt.Errorf("tree: split node %d is the last node", i)
+		}
+		if d.Left != i+1 {
+			return fmt.Errorf("tree: node %d links left child %d, want %d", i, d.Left, i+1)
 		}
 		if d.Feature < 0 || d.Feature >= dto.NumFeatures {
 			return fmt.Errorf("tree: node %d splits on invalid feature %d", i, d.Feature)
 		}
 		nodes[i].feature = d.Feature
 		nodes[i].threshold = d.Threshold
-		nodes[i].left = nodes[d.Left]
-		nodes[i].right = nodes[d.Right]
+		nodes[i].left = nodes[i+1]
+		open = append(open, i)
+	}
+	if len(open) > 0 {
+		return errors.New("tree: nodes end before the last right child")
 	}
 	t.root = nodes[0]
 	t.nFeatures = dto.NumFeatures

@@ -43,6 +43,11 @@ func TestTreeUnmarshalRejectsCorrupt(t *testing.T) {
 		`{"num_features":2,"nodes":[{"feature":0,"threshold":1,"left":0,"right":0}]}`,               // self-link
 		`{"num_features":2,"nodes":[{"feature":0,"threshold":1,"left":5,"right":6}]}`,               // dangling
 		`{"num_features":2,"nodes":[{"feature":7,"threshold":1,"left":1,"right":1},{"leaf":true}]}`, // bad feature
+		`{"num_features":2,"nodes":[{"feature":0,"left":1,"right":1},{"leaf":true}]}`,               // shared child
+		`{"num_features":2,"nodes":[{"feature":0,"left":2,"right":1},{"leaf":true},{"leaf":true}]}`, // left link skips
+		`{"num_features":2,"nodes":[{"feature":0,"left":1,"right":3},{"leaf":true},{"leaf":true},{"leaf":true}]}`,
+		`{"num_features":2,"nodes":[{"leaf":true},{"leaf":true}]}`,                    // unlinked node
+		`{"num_features":2,"nodes":[{"leaf":true},{"feature":0,"left":2,"right":3}]}`, // split is last
 		`not json`,
 	}
 	for i, c := range cases {

@@ -119,7 +119,7 @@ func (s *FileStore) LoadVersion(patientID string) (*forest.FlatForest, uint64, e
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: model store: %w", err)
 	}
-	f, err := forest.LoadFlat(bytes.NewReader(data))
+	f, err := forest.LoadFlat(data)
 	if err != nil {
 		s.quarantine(path)
 		return nil, salvageVersion(data), fmt.Errorf("serve: model store: corrupt checkpoint for %q (quarantined): %w", patientID, err)
