@@ -19,7 +19,6 @@ import (
 // never draws randomness after construction.
 type Injector struct {
 	windows []Window
-	plan    Plan
 
 	mu    sync.Mutex
 	now   func() time.Time
@@ -37,7 +36,6 @@ func New(plan *Plan) (*Injector, error) {
 	if err != nil {
 		return nil, err
 	}
-	in.plan = *plan
 	in.windows = ws
 	return in, nil
 }

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"errors"
 	"testing"
 
 	"selflearn/internal/signal"
@@ -111,6 +112,42 @@ func BenchmarkStreamerPush(b *testing.B) {
 		pos++
 		if pos == len(c0) {
 			pos = len(c0) / 2
+		}
+	}
+}
+
+// BenchmarkEntropies times the row's entropy estimators on the serving
+// subbands of one 256 Hz window: permutation entropy of orders 5 and 7
+// on D7 and 7 on D6, Rényi on D3, and both sample entropies on D6.
+func BenchmarkEntropies(b *testing.B) {
+	rec := benchRecording(b)
+	cfg := DefaultConfig()
+	ws, err := NewWorkspace(rec.SampleRate, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w1, err := cfg.Window.Window(rec.Channel(signal.ChannelF8T4), 20, rec.SampleRate)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dwt, err := ws.newSliding(len(w1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ws.wl.Slide(dwt, w1, 0); err != nil {
+		b.Fatal(err)
+	}
+	bd := ws.bands
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, err1 := ws.ent.Permutation(dwt.Detail(bd.deepest), 5)
+		_, err2 := ws.ent.Permutation(dwt.Detail(bd.deepest), 7)
+		_, err3 := ws.ent.Permutation(dwt.Detail(bd.next), 7)
+		_, err4 := ws.ent.RenyiSignal(dwt.Detail(bd.renyi), cfg.RenyiAlpha, cfg.RenyiBins)
+		_, _, err5 := ws.ent.SampleKPair(dwt.Detail(bd.next), cfg.SampleM, 0.2, 0.35)
+		if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -176,6 +176,14 @@ func Extract10(rec *signal.Recording, cfg Config) (*Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Consecutive windows start one hop apart, so after the first,
+	// channel 2's DWT slides on the workspace's own decomposition, as a
+	// streamer's does: only when the window is a power of two, whose
+	// padding does not shift.
+	slide, hop := 0, 0
+	if ws.win&(ws.win-1) == 0 {
+		hop = cfg.Window.HopSamples(fs)
+	}
 	for i := 0; i < nWin; i++ {
 		w0, err := cfg.Window.Window(c0, i, fs)
 		if err != nil {
@@ -185,11 +193,12 @@ func Extract10(rec *signal.Recording, cfg Config) (*Matrix, error) {
 		if err != nil {
 			return nil, err
 		}
-		row, err := ws.Features10Into(make([]float64, 0, 10), w0, w1)
+		row, err := ws.features10(make([]float64, 0, 10), w0, w1, nil, slide)
 		if err != nil {
 			return nil, err
 		}
 		m.Rows = append(m.Rows, row)
+		slide = hop
 	}
 	return m, nil
 }

@@ -1,6 +1,10 @@
 package features
 
-import "selflearn/internal/dsp/wavelet"
+import (
+	"fmt"
+
+	"selflearn/internal/dsp/wavelet"
+)
 
 // Streamer computes the paper's 10-feature rows sample by sample, the
 // way the wearable's firmware does: two synchronized channel streams
@@ -66,9 +70,9 @@ func (ws *Workspace) NewStreamer() *Streamer {
 // consumers sizing storage for rows derive it rather than assume it.
 func (s *Streamer) NumFeatures() int { return len(PaperFeatureNames()) }
 
-// Push feeds one synchronized sample pair (F7T3, F8T4). When a full
-// window boundary is reached it returns the freshly computed feature row
-// and ready = true; otherwise row is nil.
+// Push feeds one synchronized sample pair (F7T3, F8T4): a one-sample
+// PushBlock. When it completes a window it returns the freshly computed
+// feature row and ready = true; otherwise row is nil.
 //
 // The returned row is the Workspace's reusable emission buffer: it is
 // valid until the next row emitted by any Streamer sharing that
@@ -77,40 +81,70 @@ func (s *Streamer) NumFeatures() int { return len(PaperFeatureNames()) }
 //
 //selflearn:hotpath
 func (s *Streamer) Push(v0, v1 float64) (row []float64, ready bool, err error) {
-	s.buf0[s.pos] = v0
-	s.buf1[s.pos] = v1
-	if s.pos++; s.pos == s.winSamples {
-		s.pos = 0
+	c0, c1 := [1]float64{v0}, [1]float64{v1}
+	_, row, err = s.PushBlock(c0[:], c1[:])
+	return row, row != nil, err
+}
+
+// PushBlock feeds the synchronized sample pairs (c0[i], c1[i]) in
+// order, stopping after the pair that completes a window. It returns
+// how many pairs it consumed and, when the last of them completed a
+// window, that window's row, valid as long as Push's; row is nil when
+// it consumed every pair without completing a window. Callers loop
+// until the block is consumed. Channels of different lengths are an
+// error.
+//
+//selflearn:hotpath
+func (s *Streamer) PushBlock(c0, c1 []float64) (n int, row []float64, err error) {
+	if len(c0) != len(c1) {
+		return 0, nil, fmt.Errorf("features: channel blocks of %d and %d samples", len(c0), len(c1))
+	}
+	// Pairs until the next window completes: the first window, then one
+	// every hop.
+	need := s.hopSamples - s.sinceEmit
+	if s.filled < s.winSamples {
+		need = s.winSamples - s.filled
+	}
+	n = min(len(c0), need)
+	for done := 0; done < n; {
+		k := copy(s.buf0[s.pos:], c0[done:n])
+		copy(s.buf1[s.pos:], c1[done:done+k])
+		done += k
+		if s.pos += k; s.pos == s.winSamples {
+			s.pos = 0
+		}
 	}
 	if s.filled < s.winSamples {
-		s.filled++
-		if s.filled == s.winSamples {
-			// First complete window.
-			return s.emit()
-		}
-		return nil, false, nil
+		s.filled += n
+	} else {
+		s.sinceEmit += n
 	}
-	s.sinceEmit++
-	if s.sinceEmit == s.hopSamples {
-		return s.emit()
+	if n < need {
+		return n, nil, nil
 	}
-	return nil, false, nil
+	row, err = s.emit()
+	return n, row, err
 }
 
 // emit linearizes the rings into the workspace's window buffers and
-// computes the row into its reusable emission buffer.
-func (s *Streamer) emit() ([]float64, bool, error) {
+// computes the row into its reusable emission buffer. The window counts
+// as emitted even when its row fails, so the next one is a hop later.
+func (s *Streamer) emit() ([]float64, error) {
 	ws := s.ws
+	s.sinceEmit = 0
 	// Oldest sample sits at s.pos.
 	n := copy(ws.lin0, s.buf0[s.pos:])
 	copy(ws.lin0[n:], s.buf0[:s.pos])
 	n = copy(ws.lin1, s.buf1[s.pos:])
 	copy(ws.lin1[n:], s.buf1[:s.pos])
-	row, err := ws.features10(ws.row[:0], ws.lin0, ws.lin1, s.dwt, s.hopSamples)
+	hop := 0 // a streamer that carries no DWT decomposes every window in full
+	if s.dwt != nil {
+		hop = s.hopSamples
+	}
+	row, err := ws.features10(ws.row[:0], ws.lin0, ws.lin1, s.dwt, hop)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	ws.row = row
-	s.sinceEmit = 0
-	return row, true, nil
+	return row, nil
 }

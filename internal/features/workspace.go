@@ -117,14 +117,11 @@ func (ws *Workspace) Features10Into(dst []float64, w0, w1 []float64) ([]float64,
 }
 
 // features10 is Features10Into with w1's decomposition slid into dwt,
-// hop samples after the window dwt holds (see wavelet.Slide). A nil dwt
-// decomposes w1 in full into the workspace's own.
+// hop samples after the window dwt holds (see wavelet.Slide); hop 0
+// decomposes w1 in full. A nil dwt slides the workspace's own.
 func (ws *Workspace) features10(dst, w0, w1 []float64, dwt *wavelet.Sliding, hop int) ([]float64, error) {
 	cfg, b := ws.cfg, ws.bands
-	if err := ws.spec.PeriodogramInto(&ws.psd0, w0); err != nil {
-		return nil, err
-	}
-	if err := ws.spec.PeriodogramInto(&ws.psd1, w1); err != nil {
+	if err := ws.spec.PeriodogramPairInto(&ws.psd0, &ws.psd1, w0, w1); err != nil {
 		return nil, err
 	}
 	x := ws.wl.PadPow2(w1)
@@ -136,7 +133,7 @@ func (ws *Workspace) features10(dst, w0, w1 []float64, dwt *wavelet.Sliding, hop
 			}
 			ws.dwt = d
 		}
-		dwt, hop = ws.dwt, 0
+		dwt = ws.dwt
 	}
 	if err := ws.wl.Slide(dwt, x, hop); err != nil {
 		return nil, err
@@ -157,11 +154,7 @@ func (ws *Workspace) features10(dst, w0, w1 []float64, dwt *wavelet.Sliding, hop
 	if err != nil {
 		return nil, err
 	}
-	se02, err := ws.ent.SampleK(dwt.Detail(b.next), cfg.SampleM, 0.2)
-	if err != nil {
-		return nil, err
-	}
-	se035, err := ws.ent.SampleK(dwt.Detail(b.next), cfg.SampleM, 0.35)
+	se02, se035, err := ws.ent.SampleKPair(dwt.Detail(b.next), cfg.SampleM, 0.2, 0.35)
 	if err != nil {
 		return nil, err
 	}
@@ -290,11 +283,7 @@ func (ws *Workspace) Features54Into(dst []float64, w []float64) ([]float64, erro
 	if err != nil {
 		return nil, err
 	}
-	seL602, err := ws.ent.SampleK(ws.dec.Detail(minInt(6, cfg.Level)), cfg.SampleM, 0.2)
-	if err != nil {
-		return nil, err
-	}
-	seL6035, err := ws.ent.SampleK(ws.dec.Detail(minInt(6, cfg.Level)), cfg.SampleM, 0.35)
+	seL602, seL6035, err := ws.ent.SampleKPair(ws.dec.Detail(minInt(6, cfg.Level)), cfg.SampleM, 0.2, 0.35)
 	if err != nil {
 		return nil, err
 	}

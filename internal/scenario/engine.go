@@ -28,16 +28,15 @@ type Backend interface {
 
 // Collector accumulates the event-side outcomes of a run: per-patient
 // alarm stream times (Event.StreamTime — the deterministic clock
-// detections are scored on), per-patient model versions (the retrain
-// barrier and the run's retrain evidence), and quality rejections. Feed
-// it every event, either as a synchronous sink (local) or by draining
-// an Events channel (cluster).
+// detections are scored on) and per-patient model versions (the retrain
+// barrier and the run's retrain evidence). Feed it every event, either
+// as a synchronous sink (local) or by draining an Events channel
+// (cluster).
 type Collector struct {
 	mu       sync.Mutex
 	alarms   map[string][]float64
 	versions map[string]uint64
 	total    uint64
-	rejects  uint64
 }
 
 // NewCollector returns an empty collector.
@@ -59,10 +58,6 @@ func (c *Collector) Observe(ev serve.Event) {
 		if ev.Version > c.versions[ev.Patient] {
 			c.versions[ev.Patient] = ev.Version
 		}
-		c.mu.Unlock()
-	case serve.EventQualityReject:
-		c.mu.Lock()
-		c.rejects++
 		c.mu.Unlock()
 	}
 }

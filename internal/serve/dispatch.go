@@ -25,7 +25,7 @@ func newLocalTransport(s *Server, historyRows int) (*localTransport, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.workers[i] = newWorker(s, i, ws)
+		t.workers[i] = newWorker(s, ws)
 	}
 	for _, w := range t.workers {
 		go w.run(historyRows)
@@ -66,7 +66,6 @@ func (t *localTransport) Close() {
 // delegating to its queue.
 type worker struct {
 	srv      *Server
-	index    int
 	queue    *Queue
 	done     chan struct{}
 	sessions *lru[*session]
@@ -74,12 +73,11 @@ type worker struct {
 }
 
 // newWorker builds a worker on workspace ws; the caller starts run.
-func newWorker(s *Server, index int, ws *features.Workspace) *worker {
+func newWorker(s *Server, ws *features.Workspace) *worker {
 	w := &worker{
-		srv:   s,
-		index: index,
-		done:  make(chan struct{}),
-		ws:    ws,
+		srv:  s,
+		done: make(chan struct{}),
+		ws:   ws,
 	}
 	w.queue = NewQueue(s.cfg.QueueDepth, QueueHooks{
 		Shed: func(j Job) {

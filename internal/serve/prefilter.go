@@ -290,12 +290,13 @@ func (a *prefilterAudit) observeDigest(d Digest) (disagreed uint64) {
 // the client suppressed the second as interictal-looking).
 func (a *prefilterAudit) observeSample(c0, c1 []float64, model *forest.FlatForest) uint64 {
 	var disagreed uint64
-	for i := range c0 {
-		row, ready, err := a.streamer.Push(c0[i], c1[i])
+	for len(c0) > 0 {
+		n, row, err := a.streamer.PushBlock(c0, c1)
 		if err != nil {
 			return disagreed
 		}
-		if !ready || model == nil {
+		c0, c1 = c0[n:], c1[n:]
+		if row == nil || model == nil {
 			continue
 		}
 		a.rowView[0] = row

@@ -105,36 +105,38 @@ func newSession(id string, historyRows int, cfg Config, ws *features.Workspace) 
 //selflearn:hotpath
 func (s *session) ingest(c0, c1 []float64) ([][]float64, error) {
 	rows := s.rowsScratch[:0]
-	for i := range c0 {
-		row, ready, err := s.streamer.Push(c0[i], c1[i])
+	for len(c0) > 0 {
+		n, row, err := s.streamer.PushBlock(c0, c1)
 		if err != nil {
 			s.rowsScratch = rows
 			return rows, err
 		}
-		if ready {
-			// Copy immediately: the workspace reuses its emission buffer,
-			// so the row must land in its ring slot before any session of
-			// this worker pushes again.
-			if len(row) != s.nf {
-				// Slot width is derived from the streamer at construction;
-				// a mismatch means the extractor changed shape mid-stream —
-				// fail loudly rather than silently truncate the history
-				// the learner trains on.
-				s.rowsScratch = rows
-				return rows, fmt.Errorf("serve: feature row width %d does not match history slot width %d",
-					len(row), s.nf)
-			}
-			if n := s.histRows; len(rows) >= n {
-				// A batch longer than the whole history ring: remember is
-				// about to recycle the slot handed out n rows ago, so give
-				// that row its own copy first. Pathological (one Push
-				// spanning more than the History duration) — the common
-				// path stays allocation-free.
-				k := len(rows) - n
-				rows[k] = append([]float64(nil), rows[k]...) //selflearn:alloc-ok pathological ring-wrap copy, documented above
-			}
-			rows = append(rows, s.remember(row))
+		c0, c1 = c0[n:], c1[n:]
+		if row == nil {
+			continue
 		}
+		// Copy immediately: the workspace reuses its emission buffer, so
+		// the row must land in its ring slot before any session of this
+		// worker pushes again.
+		if len(row) != s.nf {
+			// Slot width is derived from the streamer at construction; a
+			// mismatch means the extractor changed shape mid-stream — fail
+			// loudly rather than silently truncate the history the
+			// learner trains on.
+			s.rowsScratch = rows
+			return rows, fmt.Errorf("serve: feature row width %d does not match history slot width %d",
+				len(row), s.nf)
+		}
+		if n := s.histRows; len(rows) >= n {
+			// A batch longer than the whole history ring: remember is
+			// about to recycle the slot handed out n rows ago, so give
+			// that row its own copy first. Pathological (one Push
+			// spanning more than the History duration) — the common path
+			// stays allocation-free.
+			k := len(rows) - n
+			rows[k] = append([]float64(nil), rows[k]...) //selflearn:alloc-ok pathological ring-wrap copy, documented above
+		}
+		rows = append(rows, s.remember(row))
 	}
 	s.rowsScratch = rows
 	return rows, nil
