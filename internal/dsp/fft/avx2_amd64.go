@@ -1,17 +1,11 @@
 package fft
 
-// useAVX2 selects the kernels of avx2_amd64.s: the CPU has AVX2 and the
-// OS saves the YMM registers. It is read once, at start-up. The kernels
-// perform the Go path's IEEE operations in its order, one butterfly or
-// bin per 128-bit lane, so every result keeps the Go path's bits: no
-// fused multiply-add (go1.24 fuses none on amd64), the complex product
-// as VMULPD, VPERMILPD, VMULPD, VADDSUBPD, and k = 0's multiply-free
+// The kernels of avx2_amd64.s run where simd.AVX2 holds. They perform
+// the Go path's IEEE operations in its order, one butterfly or bin per
+// 128-bit lane, so every result keeps the Go path's bits: no fused
+// multiply-add (go1.24 fuses none on amd64), the complex product as
+// VMULPD, VPERMILPD, VMULPD, VADDSUBPD, and k = 0's multiply-free
 // butterflies through VBLENDPD.
-var useAVX2 = cpuHasAVX2()
-
-// cpuHasAVX2 reports CPUID's OSXSAVE, AVX and AVX2 bits and XCR0's SSE
-// and AVX state bits.
-func cpuHasAVX2() bool
 
 // packAVX2 writes z[rev[i]] = (xs[2i]·taper[2i], xs[2i+1]·taper[2i+1])
 // for i < len(xs)/2; len(xs) is a multiple of 4.

@@ -1,12 +1,16 @@
 package fft
 
-import "testing"
+import (
+	"testing"
+
+	"selflearn/internal/simd"
+)
 
 // BenchmarkKernels1024 times each pass of a Hann-tapered 1,024-point
 // power spectrum on each path: the tapered bit-reversed pack, the
 // butterflies of the 512-point transform, and the unpack to |X[k]|².
 func BenchmarkKernels1024(b *testing.B) {
-	if !useAVX2 {
+	if !simd.AVX2 {
 		b.Skip("the CPU has no AVX2")
 	}
 	const n = 1024

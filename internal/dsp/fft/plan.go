@@ -3,6 +3,8 @@ package fft
 import (
 	"fmt"
 	"math/cmplx"
+
+	"selflearn/internal/simd"
 )
 
 // Plan owns the precomputed tables of a fixed-size transform: the
@@ -203,7 +205,7 @@ func (p *RealPlan) PowerSpectrumInto(dst, xs, taper []float64) ([]float64, error
 		return nil, fmt.Errorf("fft: real plan sized for %d points, got %d samples and %d taper weights", n, len(xs), len(taper))
 	}
 	dst = dst[:n/2+1]
-	if useAVX2 && n >= minAVX2 {
+	if simd.AVX2 && n >= minAVX2 {
 		p.powerAVX2(dst, xs, taper)
 	} else {
 		p.powerGo(dst, xs, taper)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"selflearn/internal/dsp/window"
+	"selflearn/internal/simd"
 )
 
 func TestPlanMatchesForward(t *testing.T) {
@@ -150,7 +151,7 @@ func BenchmarkRealPlanPower1024(b *testing.B) {
 		}
 	})
 	b.Run("avx2", func(b *testing.B) {
-		if !useAVX2 {
+		if !simd.AVX2 {
 			b.Skip("the CPU has no AVX2")
 		}
 		b.ReportAllocs()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"selflearn/internal/dsp/window"
+	"selflearn/internal/simd"
 )
 
 // butterfliesRadix2 is the stage loop Plan.butterflies runs in fused
@@ -84,7 +85,7 @@ func FuzzButterfliesMatchRadix2(f *testing.F) {
 		butterfliesRadix2(p, want)
 		p.butterflies(got)
 		sameBins(t, "fused", got, want)
-		if useAVX2 && n >= 4 {
+		if simd.AVX2 && n >= 4 {
 			p.butterfliesAVX2(kernel)
 			sameBins(t, "AVX2", kernel, want)
 		}
@@ -98,7 +99,7 @@ func FuzzButterfliesMatchRadix2(f *testing.F) {
 // 384 Hz windows need; hann tapers with the Hann table, and otherwise
 // the taper's weights come from the same mix as the samples.
 func FuzzPowerSpectrumMatchesGo(f *testing.F) {
-	if !useAVX2 {
+	if !simd.AVX2 {
 		f.Skip("the CPU has no AVX2: the Go path is the only path")
 	}
 	for logn := uint8(0); logn < 9; logn++ {

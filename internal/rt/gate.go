@@ -1,6 +1,9 @@
 package rt
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file holds the amplitude gate of the two-stage scheme (the
 // duty-cycle reducer of the paper's reference [24]) as a free-standing,
@@ -178,16 +181,21 @@ func BatchAmplitude(c0, c1 []float64) float64 {
 	}
 	var s float64
 	for _, v := range c0 {
-		if v < 0 {
-			v = -v
-		}
-		s += v
+		s += magnitude(v)
 	}
 	for _, v := range c1 {
-		if v < 0 {
-			v = -v
-		}
-		s += v
+		s += magnitude(v)
 	}
 	return s / float64(n)
+}
+
+// magnitude is |v| without a branch on the sign, which EEG flips at
+// random. A NaN passes through with its sign, as it did when the sum
+// negated only samples below zero; and the sum starts at +0, so −0 and
+// +0 add the same.
+func magnitude(v float64) float64 {
+	if v != v {
+		return v
+	}
+	return math.Abs(v)
 }

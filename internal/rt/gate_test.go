@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -269,5 +270,69 @@ func TestTwoStageColdStartInvokes(t *testing.T) {
 		if !g.Admit(BatchAmplitude(w, nil)) {
 			t.Fatal("cold-start window skipped the classifier")
 		}
+	}
+}
+
+// batchAmplitudeSignTest is BatchAmplitude as it was written before
+// math.Abs: negate each sample below zero.
+func batchAmplitudeSignTest(c0, c1 []float64) float64 {
+	n := len(c0) + len(c1)
+	if n == 0 {
+		return 0
+	}
+	var s float64
+	for _, v := range c0 {
+		if v < 0 {
+			v = -v
+		}
+		s += v
+	}
+	for _, v := range c1 {
+		if v < 0 {
+			v = -v
+		}
+		s += v
+	}
+	return s / float64(n)
+}
+
+// TestBatchAmplitudeMatchesSignTest: the branch-free magnitude keeps
+// every bit of the sign-test loop, on EEG-like batches and on −0, NaN
+// of both signs, ±Inf and empty channels. When two NaNs meet in the
+// sum, which one survives is the compiler's choice of operand order,
+// not the source's: the sign-test loop itself returns the first NaN in
+// one build and the second under -race. There both must only be NaN.
+func TestBatchAmplitudeMatchesSignTest(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	negNaN := math.Copysign(math.NaN(), -1)
+	rng := rand.New(rand.NewSource(5))
+	eeg := make([]float64, 256)
+	for i := range eeg {
+		eeg[i] = rng.NormFloat64() * 40e-6
+	}
+	cases := []struct {
+		name   string
+		c0, c1 []float64
+	}{
+		{"empty", nil, nil},
+		{"one empty channel", eeg, nil},
+		{"other empty channel", nil, eeg},
+		{"eeg", eeg, eeg[:200]},
+		{"negative zeros", []float64{negZero, negZero}, []float64{negZero}},
+		{"mixed zeros", []float64{negZero, 0, -1, negZero}, []float64{0, negZero}},
+		{"NaN", []float64{1, math.NaN(), -2}, []float64{3}},
+		{"negative NaN", []float64{-1, negNaN, 2}, []float64{-3}},
+		{"infinities", []float64{math.Inf(1), -1}, []float64{math.Inf(-1)}},
+		{"opposed infinities", []float64{math.Inf(-1)}, []float64{math.Inf(1), negZero}},
+		{"subnormals", []float64{-math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64}, nil},
+	}
+	for _, tc := range cases {
+		got, want := BatchAmplitude(tc.c0, tc.c1), batchAmplitudeSignTest(tc.c0, tc.c1)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: BatchAmplitude %x, sign test %x", tc.name, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	if got := BatchAmplitude([]float64{negNaN}, []float64{math.NaN()}); !math.IsNaN(got) {
+		t.Errorf("two NaNs: BatchAmplitude %v, want NaN", got)
 	}
 }

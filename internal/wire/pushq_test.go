@@ -147,3 +147,54 @@ func TestPushQTruncatedPayloadRejected(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkPush times framing one second of two 256 Hz channels:
+// /pushq on ADC-grid samples, which take the quantized layout, and
+// /float on a batch whose second channel has one sample off the grid,
+// so both channels are quantized before the float layout is written.
+func BenchmarkPush(b *testing.B) {
+	for _, bc := range benchBatches() {
+		b.Run(bc.name, func(b *testing.B) {
+			e := NewEncoder(io.Discard)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.Push("chb01", bc.c0, bc.c1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecode times decoding the frames BenchmarkPush writes.
+func BenchmarkDecode(b *testing.B) {
+	for _, bc := range benchBatches() {
+		b.Run(bc.name, func(b *testing.B) {
+			raw := encode(b, func(e *Encoder) error { return e.Push("chb01", bc.c0, bc.c1) })
+			r := bytes.NewReader(raw)
+			d := NewDecoder(r)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Reset(raw)
+				d.r.Reset(r)
+				if _, err := d.Next(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+type benchBatch struct {
+	name   string
+	c0, c1 []float64
+}
+
+func benchBatches() []benchBatch {
+	c0, c1 := adcBatch(256, 1), adcBatch(256, 2)
+	off := append([]float64(nil), c1...)
+	off[200] += 1e-9
+	return []benchBatch{{"pushq", c0, c1}, {"float", c0, off}}
+}

@@ -5,11 +5,14 @@
 // Every frame is a little-endian uint32 body length followed by the
 // body: one kind byte and a kind-specific payload. Payload scalars are
 // little-endian fixed width; strings carry a uint32 length; float
-// slices carry a uint32 count followed by IEEE-754 bits. The choice is
+// slices carry a uint32 count followed by IEEE-754 bits, and PushQ's
+// quantized channels a uint32 count of uint16 codes. The choice is
 // deliberately boring — a replayable, inspectable framing with no
 // reflection and no per-field names, because the hot message (a
-// one-second two-channel sample batch) is ~4 KB of floats and the
-// encoder must not shred it into garbage.
+// one-second two-channel sample batch, 1,078 bytes as a PushQ frame at
+// 256 Hz) goes out once per patient-second and the encoder must not
+// shred it into garbage. On CPUs with AVX2 the PushQ codec runs in
+// assembly (avx2_amd64.s), byte for byte as its Go loops.
 //
 // The protocol is versioned by the Hello exchange: both sides send
 // KindHello carrying Version first and refuse a peer that disagrees —
@@ -32,6 +35,7 @@ import (
 	"math"
 
 	"selflearn/internal/serve"
+	"selflearn/internal/simd"
 )
 
 // Version is the protocol revision exchanged in Hello frames. Bump it
@@ -171,8 +175,7 @@ type Msg struct {
 type Encoder struct {
 	w       *bufio.Writer
 	buf     []byte
-	q0, q1  []uint16 // Push quantization scratch, reused per frame
-	written uint64   // total framed bytes (header + body), for uplink accounting
+	written uint64 // total framed bytes (header + body), for uplink accounting
 }
 
 // NewEncoder returns an encoder framing onto w.
@@ -216,15 +219,6 @@ func (e *Encoder) appendFloats(xs []float64) {
 	for i := 0; len(b) >= 8; i++ {
 		binary.LittleEndian.PutUint64(b, math.Float64bits(xs[i]))
 		b = b[8:]
-	}
-}
-
-func (e *Encoder) appendU16s(qs []uint16) {
-	e.appendU32(uint32(len(qs)))
-	b := e.grow(2 * len(qs))
-	for i := 0; len(b) >= 2; i++ {
-		binary.LittleEndian.PutUint16(b, qs[i])
-		b = b[2:]
 	}
 }
 
@@ -280,26 +274,19 @@ func (e *Encoder) Hello() error {
 //
 //selflearn:hotpath
 func (e *Encoder) Push(patient string, c0, c1 []float64) error {
-	if cap(e.q0) < len(c0) {
-		e.q0 = make([]uint16, len(c0))
-	}
-	if cap(e.q1) < len(c1) {
-		e.q1 = make([]uint16, len(c1))
-	}
-	o0, s0, ok := quantizeChannel(e.q0[:len(c0)], c0)
-	if ok {
-		o1, s1, ok := quantizeChannel(e.q1[:len(c1)], c1)
-		if ok {
-			e.begin(KindPushQ)
-			e.appendString(patient)
-			e.appendF64(o0)
-			e.appendF64(s0)
-			e.appendU16s(e.q0[:len(c0)])
-			e.appendF64(o1)
-			e.appendF64(s1)
-			e.appendU16s(e.q1[:len(c1)])
-			return e.frame()
-		}
+	return e.push(patient, c0, c1, simd.AVX2)
+}
+
+// push is Push on the AVX2 kernels, or with avx2 false on the Go loops
+// alone; the two paths frame every batch to the same bytes
+// (FuzzPushMatchesReference).
+//
+//selflearn:hotpath
+func (e *Encoder) push(patient string, c0, c1 []float64, avx2 bool) error {
+	e.begin(KindPushQ)
+	e.appendString(patient)
+	if e.appendQuantized(c0, avx2) && e.appendQuantized(c1, avx2) {
+		return e.frame()
 	}
 	e.begin(KindPush)
 	e.appendString(patient)
@@ -308,22 +295,51 @@ func (e *Encoder) Push(patient string, c0, c1 []float64) error {
 	return e.frame()
 }
 
-// quantizeChannel tries to express xs exactly as offset + code*scale
-// with uint16 codes and a power-of-two scale, writing the codes into
-// dst (len(dst) == len(xs)). ok reports whether EVERY sample
-// reconstructs to its original bit pattern — the gate that keeps PushQ
-// lossless; the caller falls back to the float layout otherwise. A
-// power-of-two scale makes the check succeed for any data on an ADC
-// grid (integer counts times a power-of-two LSB), which is what
-// wearable front ends actually emit.
+// appendQuantized appends xs as one PushQ channel — offset, scale,
+// count, then the codes, written straight into the body — and reports
+// whether every sample reconstructs; when one does not, the caller
+// discards the body.
 //
 //selflearn:hotpath
-func quantizeChannel(dst []uint16, xs []float64) (offset, scale float64, ok bool) {
+func (e *Encoder) appendQuantized(xs []float64, avx2 bool) bool {
+	offset, scale, ok := grid(xs, avx2)
+	if !ok {
+		return false
+	}
+	e.appendF64(offset)
+	e.appendF64(scale)
+	e.appendU32(uint32(len(xs)))
+	return quantize(e.grow(2*len(xs)), xs, offset, scale, avx2)
+}
+
+// grid picks the affine uint16 grid that could express xs exactly as
+// offset + code*scale: its least sample as the offset and the smallest
+// power-of-two scale that covers its span in 65,535 steps. A
+// power-of-two scale lets quantize succeed for any data on an ADC grid
+// (integer counts times a power-of-two LSB), which is what wearable
+// front ends actually emit. ok is false for a channel holding NaN or
+// spanning an infinity. An empty channel takes offset 0 and scale 1.
+//
+// The AVX2 kernel takes the quads, whose lanes may keep a different
+// zero than Go's ordered < and > tests. That never reaches the wire: a
+// channel holding −0 never reconstructs (offset + 0·scale is +0), and
+// other equal samples are equal bit for bit.
+//
+//selflearn:hotpath
+func grid(xs []float64, avx2 bool) (offset, scale float64, ok bool) {
 	if len(xs) == 0 {
 		return 0, 1, true
 	}
 	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
+	quads := 0
+	if avx2 && len(xs) >= 4 {
+		quads = len(xs) &^ 3
+		var nan bool
+		if lo, hi, nan = boundsAVX2(xs[:quads]); nan {
+			return 0, 0, false
+		}
+	}
+	for _, x := range xs[quads:] {
 		if x != x {
 			return 0, 0, false
 		}
@@ -348,14 +364,36 @@ func quantizeChannel(dst []uint16, xs []float64) (offset, scale float64, ok bool
 			scale = math.Ldexp(1, exp-1)
 		}
 	}
-	for i, x := range xs {
-		c := math.Floor((x-lo)/scale + 0.5)
-		if c < 0 || c > 65535 || math.Float64bits(lo+c*scale) != math.Float64bits(x) {
-			return 0, 0, false
-		}
-		dst[i] = uint16(c)
-	}
 	return lo, scale, true
+}
+
+// quantize writes each sample's code on the grid (offset, scale) into
+// dst as a little-endian uint16 and reports whether EVERY sample
+// reconstructs to its original bit pattern as offset + code*scale —
+// the gate that keeps PushQ lossless. The product is converted
+// explicitly so that no target fuses it into the sum.
+//
+//selflearn:hotpath
+func quantize(dst []byte, xs []float64, offset, scale float64, avx2 bool) bool {
+	if len(dst) < 2*len(xs) {
+		panic("wire: quantize needs two code bytes per sample")
+	}
+	quads := 0
+	if avx2 {
+		quads = len(xs) &^ 3
+		if !quantizeAVX2(dst, xs[:quads], offset, scale) {
+			return false
+		}
+	}
+	for i := quads; i < len(xs); i++ {
+		x := xs[i]
+		c := math.Floor((x-offset)/scale + 0.5)
+		if c < 0 || c > 65535 || math.Float64bits(offset+float64(c*scale)) != math.Float64bits(x) {
+			return false
+		}
+		binary.LittleEndian.PutUint16(dst[2*i:], uint16(c))
+	}
+	return true
 }
 
 // Confirm writes one confirmation frame.
@@ -617,11 +655,11 @@ func (r *reader) floats() []float64 {
 	return xs
 }
 
-// qfloats reads one PushQ channel — offset, scale, then the uint16
+// quantized reads one PushQ channel — offset, scale, then the uint16
 // codes — and reconstructs the exact float64 samples the sender
 // quantized (the encoder only emits PushQ when offset+code*scale is
 // bit-identical to the original for every sample).
-func (r *reader) qfloats() []float64 {
+func (r *reader) quantized() []float64 {
 	offset := r.f64()
 	scale := r.f64()
 	n := r.u32()
@@ -630,11 +668,29 @@ func (r *reader) qfloats() []float64 {
 		return nil
 	}
 	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = offset + float64(binary.LittleEndian.Uint16(r.b[r.off:]))*scale
-		r.off += 2
-	}
+	dequantize(xs, r.b[r.off:], offset, scale, simd.AVX2)
+	r.off += 2 * int(n)
 	return xs
+}
+
+// dequantize writes offset + code*scale into dst for each little-endian
+// uint16 code of src, on the AVX2 kernel's quads when avx2 holds and
+// the Go loop otherwise (FuzzDequantizeMatchesReference). The product
+// is converted explicitly so that no target fuses it into the sum.
+//
+//selflearn:hotpath
+func dequantize(dst []float64, src []byte, offset, scale float64, avx2 bool) {
+	if len(src) < 2*len(dst) {
+		panic("wire: dequantize needs two code bytes per sample")
+	}
+	quads := 0
+	if avx2 {
+		quads = len(dst) &^ 3
+		dequantizeAVX2(dst[:quads], src, offset, scale)
+	}
+	for i := quads; i < len(dst); i++ {
+		dst[i] = offset + float64(float64(binary.LittleEndian.Uint16(src[2*i:]))*scale)
+	}
 }
 
 func parse(body []byte) (Msg, error) {
@@ -649,8 +705,8 @@ func parse(body []byte) (Msg, error) {
 		m.C1 = r.floats()
 	case KindPushQ:
 		m.Patient = r.str()
-		m.C0 = r.qfloats()
-		m.C1 = r.qfloats()
+		m.C0 = r.quantized()
+		m.C1 = r.quantized()
 	case KindConfirm:
 		m.Patient = r.str()
 	case KindEvent:

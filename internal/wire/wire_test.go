@@ -14,7 +14,7 @@ import (
 )
 
 // encode runs fn against a fresh encoder and returns the framed bytes.
-func encode(t *testing.T, fn func(*Encoder) error) []byte {
+func encode(t testing.TB, fn func(*Encoder) error) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	e := NewEncoder(&buf)
