@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -68,29 +69,17 @@ func main() {
 	if err := jf.Close(); err != nil {
 		fatal(err)
 	}
-	// C tables: reload the checkpoint and flatten.
-	jr, err := os.Open(jsonPath)
+	// C tables, from the checkpoint as written.
+	data, err := os.ReadFile(jsonPath)
 	if err != nil {
 		fatal(err)
 	}
-	defer jr.Close()
-	restored, err := loadForest(jr)
-	if err != nil {
-		fatal(err)
-	}
-	spec, err := cgen.Flatten(restored)
+	spec, src, err := cTables(data)
 	if err != nil {
 		fatal(err)
 	}
 	cPath := filepath.Join(*out, p.ID+"_detector.c")
-	cf, err := os.Create(cPath)
-	if err != nil {
-		fatal(err)
-	}
-	if err := spec.WriteC(cf, "seizure_rf"); err != nil {
-		fatal(err)
-	}
-	if err := cf.Close(); err != nil {
+	if err := os.WriteFile(cPath, src, 0o666); err != nil {
 		fatal(err)
 	}
 
@@ -108,7 +97,20 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// loadForest wraps forest.Load for symmetry with the session checkpoint.
-func loadForest(r *os.File) (*forest.Forest, error) {
-	return forest.Load(r)
+// cTables reads a checkpoint back and returns its C tables and their
+// source.
+func cTables(checkpoint []byte) (*cgen.ForestSpec, []byte, error) {
+	f, err := forest.Load(bytes.NewReader(checkpoint))
+	if err != nil {
+		return nil, nil, err
+	}
+	spec, err := cgen.Flatten(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	var src bytes.Buffer
+	if err := spec.WriteC(&src, "seizure_rf"); err != nil {
+		return nil, nil, err
+	}
+	return spec, src.Bytes(), nil
 }
