@@ -396,7 +396,7 @@ func BenchmarkAblation_ClassifierBaselines(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			_ = f.PredictBatch(X)
+			_ = f.Flatten().PredictBatchInto(make([]bool, len(X)), X)
 		}
 	})
 }

@@ -97,17 +97,14 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// cTables reads a checkpoint back and returns its C tables and their
-// source.
+// cTables reads a checkpoint back with the loader a shard uses and
+// returns its C tables and their source.
 func cTables(checkpoint []byte) (*cgen.ForestSpec, []byte, error) {
-	f, err := forest.Load(bytes.NewReader(checkpoint))
+	ff, err := forest.LoadFlat(checkpoint)
 	if err != nil {
 		return nil, nil, err
 	}
-	spec, err := cgen.Flatten(f)
-	if err != nil {
-		return nil, nil, err
-	}
+	spec := cgen.Flatten(ff)
 	var src bytes.Buffer
 	if err := spec.WriteC(&src, "seizure_rf"); err != nil {
 		return nil, nil, err

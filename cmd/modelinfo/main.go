@@ -1,7 +1,9 @@
 // Command modelinfo inspects a detector checkpoint produced by
-// cmd/deploy or pipeline.Session.SaveDetector: ensemble shape, flash
-// footprint of the generated C tables, and — for freshly trained models —
-// the most important features.
+// cmd/deploy, pipeline.Session.SaveDetector or a shard's model store:
+// ensemble shape, flash footprint of the generated C tables, and — for
+// freshly trained models — the most important features, which a
+// checkpoint does not carry. It loads a checkpoint with
+// forest.LoadFlat, as a shard does, so it refuses what a shard refuses.
 //
 // Usage:
 //
@@ -30,23 +32,24 @@ func main() {
 	topK := flag.Int("top", 10, "number of top features to list")
 	flag.Parse()
 
-	var f *forest.Forest
+	var ff *forest.FlatForest
+	var imp []float64
 	var names []string
 	switch {
 	case *model != "":
-		r, err := os.Open(*model)
+		data, err := os.ReadFile(*model)
 		if err != nil {
 			fatal(err)
 		}
-		defer r.Close()
-		if f, err = forest.Load(r); err != nil {
+		if ff, err = forest.LoadFlat(data); err != nil {
 			fatal(err)
 		}
 	case *train != "":
-		var err error
-		if f, err = quickTrain(*train); err != nil {
+		f, err := quickTrain(*train)
+		if err != nil {
 			fatal(err)
 		}
+		ff, imp = f.Flatten(), f.Importances()
 		base := features.EGlassFeatureNames()
 		for _, ch := range []string{signal.ChannelF7T3, signal.ChannelF8T4} {
 			for _, n := range base {
@@ -58,19 +61,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	fmt.Printf("trees: %d\n", f.NumTrees())
-	fmt.Printf("out-of-bag error: %.4f\n", f.OOBError())
-	spec, err := cgen.Flatten(f)
-	if err != nil {
-		fatal(err)
-	}
+	fmt.Printf("trees: %d\n", ff.NumTrees())
+	fmt.Printf("out-of-bag error: %.4f\n", ff.OOBError())
+	spec := cgen.Flatten(ff)
 	kb := (spec.FlashBytes() + 1023) / 1024
 	fmt.Printf("nodes: %d, input features: %d\n", len(spec.Feature), spec.NumFeatures)
 	fmt.Printf("C tables: %d bytes (%d KB) — STM32L151 flash %d KB, fits with hour buffer: %v\n",
 		spec.FlashBytes(), kb, platform.FlashKB,
 		kb+platform.HourBufferKB <= platform.FlashKB)
 
-	imp := f.Importances()
 	var any bool
 	for _, v := range imp {
 		if v > 0 {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"selflearn/internal/ml/forest"
+	"selflearn/internal/serve"
 )
 
 // TestMain runs the test binary as modelinfo when MODELINFO_MAIN is
@@ -72,27 +73,34 @@ func TestNoSource(t *testing.T) {
 	}
 }
 
-// TestModelCheckpoint inspects a checkpoint the test writes: it prints
-// the ensemble shape and says that a loaded model carries no
-// importances.
-func TestModelCheckpoint(t *testing.T) {
+// checkpoint writes a small trained detector's checkpoint, as
+// pipeline.Session.SaveDetector writes it, and returns its path and the
+// forest.
+func checkpoint(t *testing.T) (string, *forest.FlatForest) {
+	t.Helper()
 	X := [][]float64{{0, 0}, {1, 1}, {0, 0.1}, {1, 0.9}, {0.2, 0}, {0.9, 1}}
 	y := []bool{false, true, false, true, false, true}
 	f, err := forest.Train(X, y, forest.Config{NumTrees: 3, MinLeaf: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "model.json")
-	w, err := os.Create(path)
+	ff := f.Flatten()
+	data, err := ff.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Save(w); err != nil {
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return path, ff
+}
+
+// TestModelCheckpoint inspects a checkpoint the test writes: it prints
+// the ensemble shape and says that a loaded model carries no
+// importances.
+func TestModelCheckpoint(t *testing.T) {
+	path, _ := checkpoint(t)
 	code, out, errOut := modelinfo(t, "-model", path)
 	if code != 0 {
 		t.Fatalf("-model: exit %d, stderr:\n%s", code, errOut)
@@ -105,5 +113,50 @@ func TestModelCheckpoint(t *testing.T) {
 		if !strings.Contains(out, line) {
 			t.Errorf("-model output lacks %q:\n%s", line, out)
 		}
+	}
+}
+
+// TestModelVersioned: a checkpoint as the model store writes it, led by
+// its model_version, reads as the same checkpoint without one.
+func TestModelVersioned(t *testing.T) {
+	path, ff := checkpoint(t)
+	store, err := serve.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.SaveVersion("p", ff, 7); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(store.PathFor("p")); err != nil || !bytes.HasPrefix(data, []byte(`{"model_version":7,`)) {
+		t.Fatalf("the store's checkpoint does not open with its version (%v)", err)
+	}
+	_, want, _ := modelinfo(t, "-model", path)
+	code, out, errOut := modelinfo(t, "-model", store.PathFor("p"))
+	if code != 0 {
+		t.Fatalf("-model: exit %d, stderr:\n%s", code, errOut)
+	}
+	if out != want {
+		t.Errorf("versioned checkpoint prints\n%s\nthe unversioned one prints\n%s", out, want)
+	}
+}
+
+// TestModelKeyTwice: a checkpoint that gives "trees" twice, which no
+// writer produces and a shard's loader refuses, exits 1 and prints
+// nothing.
+func TestModelKeyTwice(t *testing.T) {
+	path, ff := checkpoint(t)
+	data, err := ff.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append([]byte(`{"trees":[],`), data[1:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := modelinfo(t, "-model", path)
+	if code != 1 || !strings.Contains(errOut, `key "trees" given twice`) {
+		t.Errorf("trees given twice: exit %d, stderr %q, want 1 and the key named", code, errOut)
+	}
+	if out != "" {
+		t.Errorf("trees given twice: stdout %q, want nothing", out)
 	}
 }

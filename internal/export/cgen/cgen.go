@@ -6,10 +6,10 @@
 package cgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -18,8 +18,8 @@ import (
 
 // ForestSpec is the flattened, codegen-ready form of a random forest.
 type ForestSpec struct {
-	// Per-node arrays across all trees. Feature < 0 marks a leaf whose
-	// positive flag lives in LeafPositive packed as 0/1 in Left.
+	// Per-node arrays across all trees. Feature < 0 marks a leaf, whose
+	// 0/1 vote is its Left.
 	Feature   []int16
 	Threshold []float32
 	Left      []int32
@@ -30,55 +30,30 @@ type ForestSpec struct {
 	NumFeatures int
 }
 
-// Flatten converts a trained forest into flat arrays via its JSON
-// serialization (the stable interchange shape).
-func Flatten(f *forest.Forest) (*ForestSpec, error) {
-	data, err := f.MarshalJSON()
-	if err != nil {
-		return nil, err
+// Flatten lays the forest's node table out as C arrays, node for node:
+// a split's left child is the next node and its right child the one
+// the table names; a leaf's vote becomes its Left.
+func Flatten(ff *forest.FlatForest) *ForestSpec {
+	nodes, roots := ff.Nodes()
+	spec := &ForestSpec{
+		Feature:     make([]int16, len(nodes)),
+		Threshold:   make([]float32, len(nodes)),
+		Left:        make([]int32, len(nodes)),
+		Right:       make([]int32, len(nodes)),
+		Roots:       slices.Clone(roots),
+		NumFeatures: ff.NumFeatures(),
 	}
-	var dto struct {
-		Trees []struct {
-			NumFeatures int `json:"num_features"`
-			Nodes       []struct {
-				Leaf      bool    `json:"leaf"`
-				Positive  bool    `json:"positive"`
-				Feature   int     `json:"feature"`
-				Threshold float64 `json:"threshold"`
-				Left      int     `json:"left"`
-				Right     int     `json:"right"`
-			} `json:"nodes"`
-		} `json:"trees"`
-	}
-	if err := json.Unmarshal(data, &dto); err != nil {
-		return nil, err
-	}
-	if len(dto.Trees) == 0 {
-		return nil, fmt.Errorf("cgen: empty forest")
-	}
-	spec := &ForestSpec{NumFeatures: dto.Trees[0].NumFeatures}
-	for _, t := range dto.Trees {
-		base := int32(len(spec.Feature))
-		spec.Roots = append(spec.Roots, base)
-		for _, n := range t.Nodes {
-			if n.Leaf {
-				spec.Feature = append(spec.Feature, -1)
-				spec.Threshold = append(spec.Threshold, 0)
-				pos := int32(0)
-				if n.Positive {
-					pos = 1
-				}
-				spec.Left = append(spec.Left, pos)
-				spec.Right = append(spec.Right, 0)
-				continue
-			}
-			spec.Feature = append(spec.Feature, int16(n.Feature))
-			spec.Threshold = append(spec.Threshold, float32(n.Threshold))
-			spec.Left = append(spec.Left, base+int32(n.Left))
-			spec.Right = append(spec.Right, base+int32(n.Right))
+	for i, n := range nodes {
+		spec.Feature[i] = int16(n.Feature)
+		if n.Feature < 0 {
+			spec.Left[i] = n.Right
+			continue
 		}
+		spec.Threshold[i] = float32(n.Value)
+		spec.Left[i] = int32(i + 1)
+		spec.Right[i] = n.Right
 	}
-	return spec, nil
+	return spec
 }
 
 // FlashBytes returns the byte footprint of the node arrays (2 + 4 + 4 +

@@ -14,7 +14,7 @@ import (
 	"selflearn/internal/ml/forest"
 )
 
-func trainedForest(t *testing.T) (*forest.Forest, [][]float64, []bool) {
+func trainedForest(t *testing.T) (*forest.FlatForest, [][]float64, []bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	var X [][]float64
@@ -34,15 +34,12 @@ func trainedForest(t *testing.T) (*forest.Forest, [][]float64, []bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f, X, y
+	return f.Flatten(), X, y
 }
 
 func TestFlattenPredictMatchesForest(t *testing.T) {
 	f, X, _ := trainedForest(t)
-	spec, err := Flatten(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := Flatten(f)
 	if spec.NumFeatures != 3 || len(spec.Roots) != 15 {
 		t.Fatalf("spec shape: %d features, %d roots", spec.NumFeatures, len(spec.Roots))
 	}
@@ -68,10 +65,7 @@ func TestFlattenPredictMatchesForest(t *testing.T) {
 
 func TestPredictDimensionCheck(t *testing.T) {
 	f, _, _ := trainedForest(t)
-	spec, err := Flatten(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := Flatten(f)
 	if _, err := spec.Predict([]float64{1}); err == nil {
 		t.Error("wrong dimensionality should fail")
 	}
@@ -79,10 +73,7 @@ func TestPredictDimensionCheck(t *testing.T) {
 
 func TestWriteCStructure(t *testing.T) {
 	f, _, _ := trainedForest(t)
-	spec, err := Flatten(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := Flatten(f)
 	var buf bytes.Buffer
 	if err := spec.WriteC(&buf, "seiz_rf"); err != nil {
 		t.Fatal(err)
@@ -150,10 +141,7 @@ func TestWriteCCompiles(t *testing.T) {
 		t.Skip("no cc on PATH")
 	}
 	f, _, _ := trainedForest(t)
-	spec, err := Flatten(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := Flatten(f)
 	odd := &ForestSpec{
 		Feature:     []int16{0, 1, -1, -1, 2, -1, -1},
 		Threshold:   []float32{float32(math.Inf(1)), float32(math.Inf(-1)), 0, 0, float32(math.NaN()), 0, 0},
@@ -181,10 +169,7 @@ func TestWriteCCompiles(t *testing.T) {
 
 func TestWriteCRejectsBadPrefix(t *testing.T) {
 	f, _, _ := trainedForest(t)
-	spec, err := Flatten(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := Flatten(f)
 	for _, bad := range []string{"", "9abc", "has-dash", "has space"} {
 		if err := spec.WriteC(&bytes.Buffer{}, bad); err == nil {
 			t.Errorf("prefix %q should be rejected", bad)
@@ -194,10 +179,7 @@ func TestWriteCRejectsBadPrefix(t *testing.T) {
 
 func TestFlashBudget(t *testing.T) {
 	f, _, _ := trainedForest(t)
-	spec, err := Flatten(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := Flatten(f)
 	bytes := spec.FlashBytes()
 	if bytes <= 0 {
 		t.Fatal("flash footprint must be positive")
@@ -206,12 +188,5 @@ func TestFlashBudget(t *testing.T) {
 	// STM32L151's 384 KB flash.
 	if bytes > 384*1024/2 {
 		t.Errorf("model footprint %d B implausibly large", bytes)
-	}
-}
-
-func TestFlattenEmptyForestFails(t *testing.T) {
-	var f forest.Forest
-	if _, err := Flatten(&f); err == nil {
-		t.Error("empty forest should fail")
 	}
 }

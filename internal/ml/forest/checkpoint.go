@@ -12,9 +12,11 @@ import (
 	"selflearn/internal/ml/tree"
 )
 
-// MarshalJSON encodes the flat forest in the exact interchange format of
-// Forest.MarshalJSON (preorder node arrays per tree), so checkpoints
-// written from either representation load into either.
+// MarshalJSON writes the forest's checkpoint, the one format that the
+// model store, a ModelPut frame, cmd/deploy and cmd/modelinfo all carry:
+// per tree, its width and its nodes in preorder, each split linking its
+// children by index within the tree, and the OOB error, -1 for NaN.
+// LoadFlat reads it back.
 func (ff *FlatForest) MarshalJSON() ([]byte, error) {
 	if len(ff.roots) == 0 {
 		return nil, errors.New("forest: empty forest")
@@ -67,8 +69,8 @@ func (ff *FlatForest) MarshalJSON() ([]byte, error) {
 	return json.Marshal(dto)
 }
 
-// The field names of the checkpoint's three object levels, as the
-// writers emit them.
+// The field names of the checkpoint's three object levels, as
+// MarshalJSON writes them.
 var (
 	forestFields = []string{"trees", "oob_error"}
 	treeFields   = []string{"num_features", "nodes"}
@@ -80,17 +82,17 @@ var (
 // far inside encoding/json's own limit of 10,000.
 const maxSkipDepth = 1000
 
-// LoadFlat reads a forest checkpoint (written by Forest.Save or
-// FlatForest.MarshalJSON) straight into the flat representation. It
-// makes one pass over the bytes without reflection, writes each node
-// into the node table as it reads it, and then builds the int16
-// companion as Flatten does.
+// LoadFlat reads a forest checkpoint, as MarshalJSON writes it,
+// straight into the flat representation. It makes one pass over the
+// bytes without reflection, writes each node into the node table as it
+// reads it, and then builds the int16 companion as Flatten does.
 //
 // It accepts any whitespace, any key order and unknown keys (such as
 // the store's "model_version"), whose values it checks for syntax and
-// skips. Keys match exactly as the writers spell them, and numbers
+// skips. Keys match exactly as MarshalJSON spells them, and numbers
 // parse with strconv as encoding/json parses them, so a checkpoint
-// loads bit-identical to Load(r).Flatten() (FuzzLoadFlatMatchesReference).
+// loads bit-identical to what the encoding/json decoder in
+// reference_test.go builds from it (FuzzLoadFlatMatchesReference).
 //
 // It refuses what is not a forest stored in preorder: a null tree, a
 // tree whose num_features differs from the first tree's, a split whose
@@ -386,9 +388,10 @@ func (s *scanner) array(elem func() error) error {
 // the index of an exact match, or -1 for a key whose value is skipped.
 // seen records the fields already read. A field given twice, a key
 // written with escapes and a key that matches a field only under
-// bytes.EqualFold are errors. No writer emits them, and encoding/json
-// would keep the last twin, decode the escapes and read the folded key
-// as the field, so Load could read the checkpoint differently.
+// bytes.EqualFold are errors. MarshalJSON emits none of them, and
+// encoding/json would keep the last twin, decode the escapes and read
+// the folded key as the field, so a decoder built on it could read the
+// checkpoint differently.
 func (s *scanner) field(key []byte, names []string, seen *uint) (int, error) {
 	for i, name := range names {
 		if string(key) == name {

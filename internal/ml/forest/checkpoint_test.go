@@ -37,9 +37,9 @@ func sameFlat(got, want *FlatForest) error {
 }
 
 // sharedChildrenTree is a forest of one tree of depth+1 nodes whose
-// splits each link both children to the next node: a pointer tree built
-// as linked shares every child, and Flatten expands it to 2^(depth+1)-1
-// nodes. Both loaders refuse it.
+// splits each link both children to the next node: a decoder that
+// followed the links would share every child and expand the tree to
+// 2^(depth+1)-1 nodes. LoadFlat and the reference both refuse it.
 func sharedChildrenTree(depth int) string {
 	var b strings.Builder
 	b.WriteString(`{"trees":[{"num_features":1,"nodes":[`)
@@ -66,7 +66,7 @@ var (
 	sharedChildren = sharedChildrenTree(20)
 )
 
-// malformed are checkpoints both loaders refuse.
+// malformed are checkpoints LoadFlat and the reference both refuse.
 var malformed = []struct{ name, data string }{
 	{"null tree", nullTree},
 	{"mixed widths", mixedWidths},
@@ -75,13 +75,19 @@ var malformed = []struct{ name, data string }{
 	{"no trees key", `{"oob_error":0}`},
 	{"no nodes", `{"trees":[{"num_features":2,"nodes":[]}]}`},
 	{"no width", `{"trees":[{"nodes":[{"leaf":true}]}]}`},
+	{"zero width", `{"trees":[{"num_features":0,"nodes":[{"leaf":true}]}]}`},
 	{"feature past width", `{"trees":[{"num_features":1,"nodes":[{"leaf":false,"feature":1,"left":1,"right":2},{"leaf":true},{"leaf":true}]}]}`},
 	{"negative feature", `{"trees":[{"num_features":2,"nodes":[{"leaf":false,"feature":-1,"left":1,"right":2},{"leaf":true},{"leaf":true}]}]}`},
 	{"missing right child", `{"trees":[{"num_features":1,"nodes":[{"leaf":false,"left":1,"right":2},{"leaf":true}]}]}`},
 	{"missing left child", `{"trees":[{"num_features":1,"nodes":[{"leaf":false,"left":1,"right":2}]}]}`},
+	{"self link", `{"trees":[{"num_features":2,"nodes":[{"leaf":false,"feature":0,"threshold":1,"left":0,"right":0}]}]}`},
+	{"dangling links", `{"trees":[{"num_features":2,"nodes":[{"leaf":false,"feature":0,"threshold":1,"left":5,"right":6}]}]}`},
+	{"split is last", `{"trees":[{"num_features":2,"nodes":[{"leaf":true},{"leaf":false,"feature":0,"left":2,"right":3}]}]}`},
 	{"shared children", sharedChildren},
 	{"left link skips", `{"trees":[{"num_features":1,"nodes":[{"leaf":false,"left":2,"right":1},{"leaf":true},{"leaf":true}]}]}`},
+	{"left link dangles", `{"trees":[{"num_features":1,"nodes":[{"leaf":false,"left":5,"right":2},{"leaf":true},{"leaf":true}]}]}`},
 	{"right link skips", `{"trees":[{"num_features":1,"nodes":[{"leaf":false,"left":1,"right":3},{"leaf":true},{"leaf":true},{"leaf":true}]}]}`},
+	{"right link dangles", `{"trees":[{"num_features":1,"nodes":[{"leaf":false,"left":1,"right":5},{"leaf":true},{"leaf":true}]}]}`},
 	{"unlinked node", `{"trees":[{"num_features":1,"nodes":[{"leaf":true},{"leaf":true}]}]}`},
 	{"garbage", `garbage`},
 	{"empty", ``},
@@ -98,8 +104,9 @@ var malformed = []struct{ name, data string }{
 	{"unclosed unknown", `{"x":[1,2,"trees":[` + stump2 + `]}`},
 }
 
-// flatOnly are checkpoints LoadFlat refuses although Load reads them:
-// JSON that encoding/json resolves by rules no writer relies on.
+// flatOnly are checkpoints LoadFlat refuses although the reference
+// reads them: JSON that encoding/json resolves by rules no writer
+// relies on.
 var flatOnly = []struct{ name, data string }{
 	{"folded key", `{"Trees":[` + stump2 + `]}`},
 	{"folded node key", `{"trees":[{"num_features":1,"nodes":[{"leaf":true,"PROB":1}]}]}`},
@@ -112,16 +119,16 @@ var flatOnly = []struct{ name, data string }{
 }
 
 // TestLoadFlatRefusesMalformed: each malformed checkpoint is an error
-// from both loaders, never a panic or an expansion, and each flatOnly
-// one is an error from LoadFlat.
+// from LoadFlat and from the reference, never a panic or an expansion,
+// and each flatOnly one is an error from LoadFlat.
 func TestLoadFlatRefusesMalformed(t *testing.T) {
 	for _, tc := range malformed {
 		t.Run(tc.name, func(t *testing.T) {
 			if ff, err := LoadFlat([]byte(tc.data)); err == nil {
 				t.Fatalf("LoadFlat accepted it: %d nodes", len(ff.nodes))
 			}
-			if _, err := Load(strings.NewReader(tc.data)); err == nil {
-				t.Fatal("Load accepted it")
+			if _, err := referenceLoad([]byte(tc.data)); err == nil {
+				t.Fatal("the reference accepted it")
 			}
 		})
 	}
@@ -151,21 +158,90 @@ func TestLoadFlatReadsWhatLoadReads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := Load(strings.NewReader(tc.data))
+			ref, err := referenceLoad([]byte(tc.data))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sameFlat(got, ref.Flatten()); err != nil {
+			if err := sameFlat(got, ref); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// checkpointSeeds returns what the writers emit for small trained
-// forests (Forest.Save and FlatForest.MarshalJSON output, each as
-// written, indented, and with the store's leading model_version) plus
-// one forest with a NaN OOB error.
+// TestForestSaveLoadRoundTrip: a trained forest's checkpoint loads
+// back with its ensemble size, OOB error and every vote.
+func TestForestSaveLoadRoundTrip(t *testing.T) {
+	X, y := blobs(300, 4, 21)
+	cfg := DefaultConfig()
+	cfg.NumTrees = 12
+	orig, err := Train(X, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := orig.Flatten().MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadFlat(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.NumTrees() != orig.NumTrees() {
+		t.Errorf("tree count %d vs %d", back.NumTrees(), orig.NumTrees())
+	}
+	if back.OOBError() != orig.OOBError() {
+		t.Errorf("OOB %g vs %g", back.OOBError(), orig.OOBError())
+	}
+	for i, x := range X {
+		if p := float64(back.votes(x)) / float64(back.NumTrees()); p != orig.Prob(x) {
+			t.Fatalf("row %d: %g of the trees vote positive, want %g", i, p, orig.Prob(x))
+		}
+	}
+}
+
+func TestForestLoadRejectsCorrupt(t *testing.T) {
+	if _, err := LoadFlat([]byte(`{"trees":[]}`)); err == nil {
+		t.Error("empty forest should fail")
+	}
+	if _, err := LoadFlat([]byte(`garbage`)); err == nil {
+		t.Error("garbage should fail")
+	}
+}
+
+func TestEmptyForestSaveFails(t *testing.T) {
+	if _, err := (&FlatForest{}).MarshalJSON(); err == nil {
+		t.Error("writing a forest without trees should fail")
+	}
+}
+
+func TestNaNOOBSurvivesRoundTrip(t *testing.T) {
+	// A 1-tree forest on one row has no OOB samples -> NaN.
+	cfg := DefaultConfig()
+	cfg.NumTrees = 1
+	f, err := Train([][]float64{{0, 0, 0}}, []bool{true}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(f.OOBError()) {
+		t.Fatal("one-row forest has an OOB estimate")
+	}
+	data, err := f.Flatten().MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadFlat(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(back.OOBError()) {
+		t.Error("NaN OOB should round-trip as NaN")
+	}
+}
+
+// checkpointSeeds returns what MarshalJSON writes for small trained
+// forests and for one with a NaN OOB error, each as written, indented,
+// and with the store's leading model_version.
 func checkpointSeeds(t testing.TB) [][]byte {
 	t.Helper()
 	var seeds [][]byte
@@ -177,13 +253,8 @@ func checkpointSeeds(t testing.TB) [][]byte {
 		versioned := append([]byte(`{"model_version":3,`), data[1:]...)
 		seeds = append(seeds, data, ind.Bytes(), versioned)
 	}
-	for _, tc := range []struct{ n, nf, trees int }{{12, 2, 1}, {40, 3, 3}, {60, 5, 4}} {
-		f, ff, _ := trainedPair(t, int64(tc.n), tc.n, tc.nf, tc.trees)
-		var buf bytes.Buffer
-		if err := f.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		add(buf.Bytes())
+	for _, tc := range []struct{ n, nf, trees int }{{12, 2, 1}, {24, 4, 2}, {40, 3, 3}, {50, 6, 2}, {60, 5, 4}, {80, 2, 3}} {
+		_, ff, _ := trainedPair(t, int64(tc.n), tc.n, tc.nf, tc.trees)
 		data, err := ff.MarshalJSON()
 		if err != nil {
 			t.Fatal(err)
@@ -205,8 +276,8 @@ func checkpointSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
-// FuzzLoadFlatMatchesReference: whatever LoadFlat accepts, Load reads
-// too, and flattens to the same forest bit for bit.
+// FuzzLoadFlatMatchesReference: whatever LoadFlat accepts, the
+// encoding/json reference reads too, to the same forest bit for bit.
 func FuzzLoadFlatMatchesReference(f *testing.F) {
 	for _, seed := range checkpointSeeds(f) {
 		if _, err := LoadFlat(seed); err != nil {
@@ -222,11 +293,11 @@ func FuzzLoadFlatMatchesReference(f *testing.F) {
 		if err != nil {
 			return
 		}
-		ref, err := Load(bytes.NewReader(data))
+		ref, err := referenceLoad(data)
 		if err != nil {
-			t.Fatalf("LoadFlat accepted what Load refuses (%v)", err)
+			t.Fatalf("LoadFlat accepted what the reference refuses (%v)", err)
 		}
-		if err := sameFlat(got, ref.Flatten()); err != nil {
+		if err := sameFlat(got, ref); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -10,12 +10,13 @@ import (
 // FlatForest is the inference-optimized form of a trained forest: every
 // tree packed into one contiguous node table (see tree.FlatNode — 16
 // bytes per node, left child implicit in preorder layout), no pointers
-// to chase and nothing allocated per prediction. It produces bit-identical
-// predictions and probabilities to the pointer Forest it was flattened
-// from, and is immutable after construction, so one instance may be
-// shared by any number of goroutines. This is the representation the
-// serving hot path classifies with; the pointer Forest remains the
-// training-side structure.
+// to chase and nothing allocated per prediction. It votes exactly as
+// the pointer trees it was flattened from, and is immutable after
+// construction, so one instance may be shared by any number of
+// goroutines. It is the one representation everything after Train
+// reads: the classifiers in serve and pipeline, the checkpoint
+// (MarshalJSON and LoadFlat) and the C export. The pointer Forest
+// remains the trainer's output, for its importances.
 type FlatForest struct {
 	nodes     []tree.FlatNode
 	roots     []int32
@@ -56,6 +57,18 @@ func (f *Forest) Flatten() *FlatForest {
 // NumFeatures returns the width of the rows the forest classifies: a
 // row must hold at least this many features.
 func (ff *FlatForest) NumFeatures() int { return ff.nFeatures }
+
+// NumTrees returns the ensemble size.
+func (ff *FlatForest) NumTrees() int { return len(ff.roots) }
+
+// OOBError returns the out-of-bag misclassification estimate of the
+// training run (NaN when no sample was ever out of bag).
+func (ff *FlatForest) OOBError() float64 { return ff.oob }
+
+// Nodes returns the node table and the index of each tree's root in
+// it. Both are the forest's own storage, shared with every reader of
+// the forest: the caller must not modify them.
+func (ff *FlatForest) Nodes() ([]tree.FlatNode, []int32) { return ff.nodes, ff.roots }
 
 // Quant returns the int16-quantized companion forest, or nil when the
 // model did not quantize (code-space overflow, or the learner dropped
@@ -107,7 +120,7 @@ func step(x []float64, n tree.FlatNode, i int32) int32 {
 }
 
 // votes counts the trees classifying x positive. len(x) must be at
-// least NumFeatures, as with Forest.Predict.
+// least NumFeatures.
 //
 // Two micro-optimizations carry the speedup over the pointer forest:
 // the branch-free child select (see step), and walking four trees in

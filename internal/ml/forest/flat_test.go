@@ -91,56 +91,27 @@ func TestFlatPredictBatchParallel(t *testing.T) {
 	}
 }
 
-// TestFlatSerializationRoundTrip proves the flat and pointer
-// representations interoperate through the shared JSON checkpoint
-// format in every direction.
+// TestFlatSerializationRoundTrip: a forest written through
+// encoding/json's Encoder, as a json.Marshaler, loads back with its
+// votes and OOB error.
 func TestFlatSerializationRoundTrip(t *testing.T) {
 	f, ff, probe := trainedPair(t, 3, 150, 8, 20)
-
-	agree := func(name string, predict func(x []float64) bool) {
-		t.Helper()
-		for i, x := range probe {
-			if predict(x) != f.Predict(x) {
-				t.Fatalf("%s: row %d diverges from the original forest", name, i)
-			}
-		}
-	}
-
-	// Flat → JSON → flat.
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(ff); err != nil {
 		t.Fatal(err)
 	}
-	ff2, err := LoadFlat(buf.Bytes())
+	back, err := LoadFlat(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	agree("flat->flat", ff2.Predict)
-	if ff2.oob != ff.oob {
-		t.Fatalf("OOBError lost in round trip: %g vs %g", ff2.oob, ff.oob)
+	for i, x := range probe {
+		if back.Predict(x) != f.Predict(x) {
+			t.Fatalf("row %d diverges from the original forest", i)
+		}
 	}
-
-	// Pointer → JSON → flat.
-	buf.Reset()
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
+	if back.oob != ff.oob {
+		t.Fatalf("OOBError lost in round trip: %g vs %g", back.oob, ff.oob)
 	}
-	ff3, err := LoadFlat(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	agree("pointer->flat", ff3.Predict)
-
-	// Flat → JSON → pointer.
-	buf.Reset()
-	if err := json.NewEncoder(&buf).Encode(ff); err != nil {
-		t.Fatal(err)
-	}
-	fp, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	agree("flat->pointer", fp.Predict)
 }
 
 func TestFlatPredictAllocs(t *testing.T) {

@@ -123,32 +123,10 @@ func (f *Forest) NumTrees() int { return len(f.trees) }
 // no sample was ever out of bag).
 func (f *Forest) OOBError() float64 { return f.oob }
 
-// Prob returns the fraction of trees voting positive for x.
-func (f *Forest) Prob(x []float64) float64 {
-	votes := 0
-	for _, t := range f.trees {
-		if t.Predict(x) {
-			votes++
-		}
-	}
-	return float64(votes) / float64(len(f.trees))
-}
-
-// Predict returns the majority-vote class for x.
-func (f *Forest) Predict(x []float64) bool { return f.Prob(x) >= 0.5 }
-
-// PredictBatch classifies every row of X.
-func (f *Forest) PredictBatch(X [][]float64) []bool {
-	out := make([]bool, len(X))
-	for i, x := range X {
-		out[i] = f.Predict(x)
-	}
-	return out
-}
-
 // Importances returns per-feature mean-decrease-in-impurity scores
 // averaged over the ensemble and normalized to sum to 1 (all zeros when
-// the trees carry no importances, e.g. after deserialization).
+// no tree has a split). They exist only here: a flattened or loaded
+// forest does not carry them.
 func (f *Forest) Importances() []float64 {
 	if len(f.trees) == 0 {
 		return nil

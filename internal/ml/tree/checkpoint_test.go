@@ -1,41 +1,14 @@
-package tree
+package tree_test
 
 import (
-	"encoding/json"
-	"math/rand"
 	"testing"
+
+	"selflearn/internal/ml/forest"
 )
 
-func TestTreeJSONRoundTrip(t *testing.T) {
-	X, y := gaussianBlobs(300, 4, 11)
-	orig, err := Train(X, y, Config{MaxDepth: 8, MinLeaf: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Tree
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.NumFeatures() != orig.NumFeatures() || back.NumNodes() != orig.NumNodes() {
-		t.Errorf("shape changed: %d/%d vs %d/%d",
-			back.NumFeatures(), back.NumNodes(), orig.NumFeatures(), orig.NumNodes())
-	}
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 200; i++ {
-		x := []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
-		if orig.Predict(x) != back.Predict(x) {
-			t.Fatalf("prediction mismatch at trial %d", i)
-		}
-		if orig.Prob(x) != back.Prob(x) {
-			t.Fatalf("probability mismatch at trial %d", i)
-		}
-	}
-}
-
+// A tree's JSON is decoded only as one tree of a forest checkpoint, by
+// forest.LoadFlat, so each corrupt tree is given as a checkpoint's only
+// tree. The checkpoint's own structure is tested in forest.
 func TestTreeUnmarshalRejectsCorrupt(t *testing.T) {
 	cases := []string{
 		`{"num_features":2,"nodes":[]}`,
@@ -51,16 +24,15 @@ func TestTreeUnmarshalRejectsCorrupt(t *testing.T) {
 		`not json`,
 	}
 	for i, c := range cases {
-		var tr Tree
-		if err := json.Unmarshal([]byte(c), &tr); err == nil {
+		data := `{"trees":[` + c + `],"oob_error":0}`
+		if _, err := forest.LoadFlat([]byte(data)); err == nil {
 			t.Errorf("case %d should fail: %s", i, c)
 		}
 	}
-}
-
-func TestEmptyTreeMarshalFails(t *testing.T) {
-	var tr Tree
-	if _, err := json.Marshal(&tr); err == nil {
-		t.Error("marshaling an untrained tree should fail")
+	// The wrapper alone is a valid checkpoint, so each refusal above is
+	// the tree's.
+	ok := `{"num_features":2,"nodes":[{"feature":0,"left":1,"right":2},{"leaf":true},{"leaf":true}]}`
+	if _, err := forest.LoadFlat([]byte(`{"trees":[` + ok + `],"oob_error":0}`)); err != nil {
+		t.Fatalf("valid tree refused: %v", err)
 	}
 }

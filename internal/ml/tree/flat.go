@@ -26,8 +26,7 @@ func (t *Tree) AppendFlat(dst []FlatNode) []FlatNode {
 	walk = func(n *node) {
 		idx := len(dst)
 		if n.leaf {
-			// The vote mirrors Predict's prob >= 0.5 rule (not the stored
-			// positive flag, which deserialized trees also ignore).
+			// The vote mirrors Predict's prob >= 0.5 rule.
 			var vote int32
 			if n.prob >= 0.5 {
 				vote = 1

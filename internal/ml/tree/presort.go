@@ -165,7 +165,7 @@ func stops(pos, n, depth int, cfg Config) bool {
 }
 
 func newLeaf(pos, n int) *node {
-	return &node{leaf: true, positive: 2*pos >= n, prob: float64(pos) / float64(n)}
+	return &node{leaf: true, prob: float64(pos) / float64(n)}
 }
 
 // grow grows the node holding positions [lo, hi) of every feature's

@@ -60,11 +60,7 @@ func (t *Tree) growReference(X [][]float64, y []bool, idx []int, depth int, cfg 
 	t.nodes++
 	pos := countPositives(y, idx)
 	makeLeaf := func() *node {
-		return &node{
-			leaf:     true,
-			positive: 2*pos >= len(idx),
-			prob:     float64(pos) / float64(len(idx)),
-		}
+		return &node{leaf: true, prob: float64(pos) / float64(len(idx))}
 	}
 	if pos == 0 || pos == len(idx) ||
 		(cfg.MaxDepth > 0 && depth >= cfg.MaxDepth) ||

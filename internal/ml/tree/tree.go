@@ -20,9 +20,8 @@ type Config struct {
 
 type node struct {
 	// Leaf payload.
-	leaf     bool
-	positive bool
-	prob     float64 // fraction of positive training samples in the leaf
+	leaf bool
+	prob float64 // fraction of positive training samples in the leaf
 	// Split payload.
 	feature   int
 	threshold float64
@@ -41,8 +40,7 @@ type Tree struct {
 	total       int
 }
 
-// Importances returns the per-feature mean-decrease-in-impurity scores
-// (zero slice for a deserialized tree, which does not carry them).
+// Importances returns the per-feature mean-decrease-in-impurity scores.
 func (t *Tree) Importances() []float64 {
 	out := make([]float64, t.nFeatures)
 	copy(out, t.importances)

@@ -283,7 +283,8 @@ func (c *Corpus) score(conf *metrics.Confusion, train []*seizureData, arm Arm, r
 		return err
 	}
 	labels := features.Labels(test.m54, []signal.Interval{test.truth})
-	for i, pred := range f.PredictBatch(test.m54.Rows) {
+	rows := test.m54.Rows
+	for i, pred := range f.Flatten().PredictBatchInto(make([]bool, len(rows)), rows) {
 		conf.Count(pred, labels[i])
 	}
 	return nil
@@ -532,14 +533,21 @@ func (s *Session) Detect(rec *signal.Recording) ([]bool, *features.Matrix, error
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.det.PredictBatch(m54.Rows), m54, nil
+	return s.det.Flatten().PredictBatchInto(make([]bool, len(m54.Rows)), m54.Rows), m54, nil
 }
 
 // SaveDetector checkpoints the trained detector (e.g. to flash between
-// battery charges). It fails when no detector has been trained yet.
+// battery charges) as FlatForest.MarshalJSON writes it, the format
+// forest.LoadFlat reads. It fails when no detector has been trained
+// yet.
 func (s *Session) SaveDetector(w io.Writer) error {
 	if s.det == nil {
 		return errors.New("pipeline: detector not trained yet")
 	}
-	return s.det.Save(w)
+	data, err := s.det.Flatten().MarshalJSON()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(data)
+	return err
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Classifier is the minimal window-classifier interface the alarm layer
-// consumes; internal/ml/forest.Forest satisfies it.
+// consumes; internal/ml/forest.FlatForest satisfies it.
 type Classifier interface {
 	Predict(x []float64) bool
 }

@@ -35,19 +35,19 @@ type ModelStore interface {
 }
 
 // FileStore persists one JSON forest checkpoint per patient under a
-// directory, using the ml/forest serialization format shared with
-// cmd/deploy (FlatForest.MarshalJSON writes it and forest.LoadFlat
-// reads it, so checkpoints interoperate with pointer-forest tools in
-// both directions). A server restarted against the same directory serves
-// previously-trained patients warm. Writes are atomic (temp file +
-// rename), so a crash mid-checkpoint leaves the previous one intact.
+// directory, in the one ml/forest checkpoint format:
+// FlatForest.MarshalJSON writes it and forest.LoadFlat reads it, as
+// cmd/deploy and cmd/modelinfo do. A server restarted against the same
+// directory serves previously-trained patients warm. Writes are atomic
+// (temp file + rename), so a crash mid-checkpoint leaves the previous
+// one intact.
 //
 // Versioned checkpoints carry the model version as an extra
 // "model_version" field, the JSON object's first, alongside the forest
-// fields. Forest loaders ignore unknown fields, so a versioned
-// checkpoint still loads in every pointer-forest tool; a checkpoint
-// that does not open with the field (pre-versioning) loads here as
-// version 0.
+// fields. LoadFlat skips unknown fields, so a versioned checkpoint
+// still loads in those tools; a checkpoint that does not open with the
+// field (pre-versioning, or written by pipeline.Session.SaveDetector
+// or cmd/deploy) loads here as version 0.
 type FileStore struct {
 	dir string
 }

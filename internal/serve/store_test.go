@@ -62,61 +62,53 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFileStoreFlatCheckpointInterop proves checkpoints cross the
-// representation boundary in both directions: a pointer-forest
-// checkpoint (as cmd/deploy writes) loads into the serving FlatForest,
-// and a FlatForest checkpoint loads back as a pointer forest, with
-// identical predictions throughout.
+// TestFileStoreFlatCheckpointInterop: the store and the tools share
+// one checkpoint format. A checkpoint as pipeline.Session.SaveDetector
+// and cmd/deploy write it (FlatForest.MarshalJSON, no version) loads
+// through the store as version 0, and the store's versioned checkpoint
+// loads through forest.LoadFlat, as cmd/deploy and cmd/modelinfo read
+// it, with identical predictions throughout.
 func TestFileStoreFlatCheckpointInterop(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	X := [][]float64{{0, 0}, {1, 1}, {0, 0.1}, {1, 0.9}, {0.1, 0}, {0.9, 1}}
-	y := []bool{false, true, false, true, false, true}
-	pointer, err := forest.Train(X, y, forest.Config{NumTrees: 7, MinLeaf: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := tinyForest(t, 3)
 	probe := [][]float64{{0, 0}, {1, 1}, {0.05, 0.02}, {0.97, 0.95}, {0.5, 0.5}}
-
-	// Pointer checkpoint on disk → flat serving load.
-	f, err := os.Create(fs.path("legacy"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pointer.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	flat, _, err := fs.LoadVersion("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range probe {
-		if flat.Predict(x) != pointer.Predict(x) {
-			t.Fatalf("flat load of pointer checkpoint diverges on %v", x)
+	agree := func(name string, got *forest.FlatForest) {
+		t.Helper()
+		for _, x := range probe {
+			if got.Predict(x) != f.Predict(x) {
+				t.Fatalf("%s diverges on %v", name, x)
+			}
 		}
 	}
 
-	// Flat checkpoint on disk → pointer tooling load.
-	if err := fs.SaveVersion("flat", pointer.Flatten(), 0); err != nil {
-		t.Fatal(err)
-	}
-	r, err := os.Open(fs.path("flat"))
+	data, err := f.MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	back, err := forest.Load(r)
+	if err := os.WriteFile(fs.path("deployed"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, v, err := fs.LoadVersion("deployed")
+	if err != nil || got == nil || v != 0 {
+		t.Fatalf("SaveDetector checkpoint = %v, %d, %v; want model, 0, nil", got, v, err)
+	}
+	agree("store load of a SaveDetector checkpoint", got)
+
+	if err := fs.SaveVersion("stored", f, 4); err != nil {
+		t.Fatal(err)
+	}
+	data, err = os.ReadFile(fs.path("stored"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range probe {
-		if back.Predict(x) != pointer.Predict(x) {
-			t.Fatalf("pointer load of flat checkpoint diverges on %v", x)
-		}
+	back, err := forest.LoadFlat(data)
+	if err != nil {
+		t.Fatalf("LoadFlat refuses a versioned checkpoint: %v", err)
 	}
+	agree("LoadFlat of a versioned checkpoint", back)
 }
 
 // TestFileStoreCorruptCheckpointRecovery: a checkpoint that fails to
@@ -230,11 +222,11 @@ func TestFileStoreQuarantineKeepsForensics(t *testing.T) {
 	}
 }
 
-// TestStoreVersionRoundTrip pins the ModelStore contract for both
-// implementations: SaveVersion/LoadVersion round-trip the version with
-// the model, version 0 writes a pre-versioning format checkpoint, and — for the FileStore — a checkpoint written by the
-// pre-versioning format (a bare forest JSON, as every existing
-// deployment has on disk) loads cleanly as version 0.
+// TestStoreVersionRoundTrip pins the ModelStore contract:
+// SaveVersion/LoadVersion round-trip the version with the model, and
+// version 0 writes a pre-versioning format checkpoint, which loads as
+// version 0. TestFileStoreFlatCheckpointInterop loads one written
+// outside the store.
 func TestStoreVersionRoundTrip(t *testing.T) {
 	f := tinyForest(t, 1)
 	probe := [][]float64{{0, 0}, {1, 1}, {0.05, 0.05}, {0.95, 0.95}}
@@ -276,43 +268,6 @@ func TestStoreVersionRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, fs)
-
-		// A pre-versioning checkpoint — the exact bytes the current
-		// pointer-forest tools write — loads as version 0.
-		pointer, err := forest.Train([][]float64{{0, 0}, {1, 1}, {0, 0.1}, {1, 0.9}},
-			[]bool{false, true, false, true}, forest.Config{NumTrees: 3, MinLeaf: 1, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := os.Create(fs.path("legacy"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pointer.Save(w); err != nil {
-			t.Fatal(err)
-		}
-		w.Close()
-		got, v, err := fs.LoadVersion("legacy")
-		if err != nil || got == nil || v != 0 {
-			t.Fatalf("pre-versioning checkpoint = %v, %d, %v; want model, 0, nil", got, v, err)
-		}
-
-		// And a versioned checkpoint still loads in pre-versioning tools:
-		// the version rides an extra JSON field their loaders ignore.
-		r, err := os.Open(fs.path("p"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		back, err := forest.Load(r)
-		if err != nil {
-			t.Fatalf("pointer tooling rejects a versioned checkpoint: %v", err)
-		}
-		for _, x := range probe {
-			if back.Predict(x) != f.Predict(x) {
-				t.Fatalf("pointer load of versioned checkpoint diverges on %v", x)
-			}
-		}
 	})
 }
 
